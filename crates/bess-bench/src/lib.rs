@@ -104,16 +104,6 @@ impl World {
     /// Builds a world with one server per area list, with the given wire
     /// latency.
     pub fn new(server_areas: &[&[u32]], latency: Duration) -> World {
-        Self::new_configured(server_areas, latency, |_| {})
-    }
-
-    /// [`World::new`] with a per-server config hook (e.g. to select the
-    /// presumed-abort 2PC compatibility mode for an A/B baseline).
-    pub fn new_configured(
-        server_areas: &[&[u32]],
-        latency: Duration,
-        configure: impl Fn(&mut ServerConfig),
-    ) -> World {
         let net = Network::new(latency);
         let dir = Arc::new(Directory::new());
         let mut servers = Vec::new();
@@ -122,10 +112,8 @@ impl World {
             let node = NodeId(100 + i as u32);
             let set = make_areas(areas);
             register_areas(&dir, node, &set);
-            let mut cfg = ServerConfig::new(node);
-            configure(&mut cfg);
             let (server, _) = BessServer::start(
-                cfg,
+                ServerConfig::new(node),
                 Arc::clone(&set),
                 LogManager::create_mem(),
                 &net,

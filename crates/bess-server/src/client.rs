@@ -88,25 +88,12 @@ pub struct ClientOpts {
     /// sending it standalone; the listener's idle tick flushes releases
     /// that found no carrier in time.
     pub defer_release: bool,
-    /// Keep a small pool of global transaction ids, refilled by a
-    /// `BeginGlobal` trailer riding each `CommitGlobal` frame, so the next
-    /// distributed commit skips the explicit `BeginGlobal` round trip.
-    pub prefetch_gtxn: bool,
-    /// Ship every branch's updates inside the `CommitGlobal` frame
-    /// itself: the coordinator stages its own branch and forwards each
-    /// remote branch in that participant's phase-1 entry, replacing every
-    /// standalone `ShipUpdates` round trip.
-    pub piggyback_ship: bool,
     /// Enrol every touched server as a 2PC participant and let read-only
     /// participants release this client's locks when they vote, dropping
     /// both the `ReleaseAll` to them and their phase-2 traffic. Only
     /// applied to non-caching connections: a caching client's locks must
     /// survive the transaction, so vote-time release would be unsound.
     pub release_read_locks: bool,
-    /// Ship each remote branch's updates from its own thread instead of a
-    /// serial loop, overlapping the per-participant wire round trips.
-    /// Saves latency, not messages.
-    pub concurrent_ship: bool,
 }
 
 impl ClientOpts {
@@ -115,10 +102,7 @@ impl ClientOpts {
         ClientOpts {
             lazy_begin: true,
             defer_release: true,
-            prefetch_gtxn: true,
-            piggyback_ship: true,
             release_read_locks: true,
-            concurrent_ship: true,
         }
     }
 }
@@ -257,8 +241,9 @@ pub struct ClientConn {
     /// Sequence for client-allocated local transaction ids (`lazy_begin`).
     // LINT: allow(raw-counter) — txn-id allocator, not a metric
     next_local_txn: AtomicU64,
-    /// Prefetched global transaction ids (`prefetch_gtxn`), refilled from
-    /// `TxnId` reply trailers.
+    /// Prefetched global transaction ids: each `CommitGlobal` frame carries
+    /// a `BeginGlobal` trailer whose `TxnId` reply refills the pool, so the
+    /// next distributed commit skips the explicit `BeginGlobal` round trip.
     gtxn_pool: Mutex<Vec<u64>>,
     /// Servers owed a `ReleaseAll` (`defer_release`), with the time the
     /// debt was incurred; paid as a trailer on the next message there, or
@@ -591,11 +576,10 @@ impl ClientConn {
     /// Sends one RPC, retrying transient transport failures with capped
     /// exponential backoff. Only requests that are idempotent (reads,
     /// locks, releases, raw I/O replays) or deduplicated by the server
-    /// (commits, which carry a request id) are retried. `ShipUpdates`,
-    /// `AllocSegment` and `FreeSegment` are neither, so they fail fast: a
-    /// reshipped update set would double-buffer, a retried alloc whose
-    /// first delivery executed leaks a segment, and a retried free can
-    /// free a segment another client was handed in the meantime.
+    /// (commits, which carry a request id) are retried. `AllocSegment` and
+    /// `FreeSegment` are neither, so they fail fast: a retried alloc whose
+    /// first delivery executed leaks a segment, and a retried free can free
+    /// a segment another client was handed in the meantime.
     fn rpc(&self, to: NodeId, msg: Msg) -> ClientResult<Msg> {
         self.rpc_with_trailers(to, msg, Vec::new())
     }
@@ -609,10 +593,7 @@ impl ClientConn {
         mut trailers: Vec<Msg>,
     ) -> ClientResult<Msg> {
         self.servers_touched.lock().insert(to);
-        let retryable = !matches!(
-            msg,
-            Msg::ShipUpdates { .. } | Msg::AllocSegment { .. } | Msg::FreeSegment { .. }
-        );
+        let retryable = !matches!(msg, Msg::AllocSegment { .. } | Msg::FreeSegment { .. });
         // Piggyback any control debt for this server on the frame. A
         // retried frame re-runs non-deduplicated trailers server-side;
         // everything we attach here (`ReleaseAll`) is idempotent, and
@@ -763,7 +744,7 @@ impl ClientConn {
     pub fn commit(&self, updates: Vec<PageUpdate>) -> ClientResult<()> {
         let txn = self.current_txn().ok_or(ClientError::NoTxn)?;
         // Times the whole commit conversation — single-server fast path or
-        // ship + coordinate — as the client observes it, retries included.
+        // 2PC round — as the client observes it, retries included.
         let _timer = self.commit_rtt_ns.start();
         let mut by_owner: HashMap<NodeId, Vec<PageUpdate>> = HashMap::new();
         for u in updates {
@@ -807,19 +788,16 @@ impl ClientConn {
         result
     }
 
-    /// Distributed commit: ship updates, then ask the home server to
-    /// coordinate. With the message-saving opts on, the `BeginGlobal` comes
-    /// from the prefetched pool (refilled by a trailer on this very frame),
-    /// the home server's updates ride the `CommitGlobal` frame as a
-    /// trailer, every touched server joins the round so read-only voters
-    /// release our locks at phase 1, and the whole conversation collapses
-    /// toward one frame per remote write participant plus one to the
-    /// coordinator.
+    /// Distributed commit: one `CommitGlobal` frame to the home server
+    /// carries every branch's write set (the coordinator stages its own and
+    /// forwards the rest inside each participant's phase-1 entry) plus a
+    /// `BeginGlobal` trailer that prefetches the next transaction's id.
+    /// With `release_read_locks`, every touched server joins the round so
+    /// read-only voters release our locks at phase 1.
     fn commit_global(&self, by_owner: HashMap<NodeId, Vec<PageUpdate>>) -> ClientResult<()> {
-        let opts = self.cfg.opts;
-        let release_read_locks = opts.release_read_locks && !self.effective_caching();
-        // The pool only ever fills when `prefetch_gtxn` is on; an empty
-        // pool (or the opt off) falls back to the explicit round trip.
+        let release_read_locks = self.cfg.opts.release_read_locks && !self.effective_caching();
+        // An empty pool (first commit, or a retried frame whose trailer
+        // reply was not replayed) falls back to the explicit round trip.
         let gtxn = match self.gtxn_pool.lock().pop() {
             Some(g) => g,
             None => match self.rpc(self.cfg.home, Msg::BeginGlobal)? {
@@ -827,7 +805,11 @@ impl ClientConn {
                 other => return Err(ClientError::Server(format!("bad reply {other:?}"))),
             },
         };
-        let mut participants: Vec<u32> = by_owner.keys().map(|n| n.0).collect();
+        let mut branches: Vec<(u32, Vec<PageUpdate>)> =
+            by_owner.into_iter().map(|(owner, updates)| (owner.0, updates)).collect();
+        branches.sort_unstable_by_key(|(p, _)| *p);
+        let write_owners: Vec<u32> = branches.iter().map(|(p, _)| *p).collect();
+        let mut participants = write_owners.clone();
         if release_read_locks {
             // Enrol read-only touched servers: their phase-1 vote releases
             // our locks and drops them from phase 2.
@@ -838,56 +820,11 @@ impl ClientConn {
             }
             participants.sort_unstable();
         }
-        let write_owners: HashSet<u32> = by_owner.keys().map(|n| n.0).collect();
-        let mut commit_trailers: Vec<Msg> = Vec::new();
-        let mut branches: Vec<(u32, Vec<PageUpdate>)> = Vec::new();
-        let mut remote_ships: Vec<(NodeId, Vec<PageUpdate>)> = Vec::new();
-        for (owner, updates) in by_owner {
-            if opts.piggyback_ship {
-                // Every branch rides the CommitGlobal frame itself: the
-                // coordinator stages its own branch and forwards each
-                // remote branch inside that participant's phase-1 entry —
-                // zero standalone ship round trips.
-                branches.push((owner.0, updates));
-                continue;
-            }
-            remote_ships.push((owner, updates));
-        }
-        branches.sort_unstable_by_key(|(p, _)| *p);
-        // With `concurrent_ship`, ship every remote branch at once: the
-        // update sets are disjoint by construction (grouped by owner), so
-        // there is no ordering to preserve, and a serial loop would pay
-        // one wire round trip per participant.
-        let ship_replies: Vec<ClientResult<Msg>> = if opts.concurrent_ship {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = remote_ships
-                    .into_iter()
-                    .map(|(owner, updates)| {
-                        s.spawn(move || self.rpc(owner, Msg::ShipUpdates { gtxn, updates }))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    // LINT: allow(panic) — propagates a panic from the ship thread
-                    .map(|h| h.join().expect("ship thread panicked"))
-                    .collect()
-            })
+        let commit_trailers = if self.gtxn_pool.lock().is_empty() {
+            vec![Msg::BeginGlobal]
         } else {
-            remote_ships
-                .into_iter()
-                .map(|(owner, updates)| self.rpc(owner, Msg::ShipUpdates { gtxn, updates }))
-                .collect()
+            Vec::new()
         };
-        for reply in ship_replies {
-            match reply? {
-                Msg::Ok => {}
-                Msg::Err(e) => return Err(ClientError::Server(e)),
-                other => return Err(ClientError::Server(format!("bad reply {other:?}"))),
-            }
-        }
-        if opts.prefetch_gtxn && self.gtxn_pool.lock().is_empty() {
-            commit_trailers.push(Msg::BeginGlobal);
-        }
         let req = self.fresh_req();
         let reply = self.rpc_with_trailers(
             self.cfg.home,

@@ -5,7 +5,7 @@
 //!
 //! * [`BessServer`] — owns storage areas; strict 2PL with timeout deadlock
 //!   detection, ARIES-like WAL with restart recovery, **callback locking**
-//!   towards clients, and presumed-abort **two-phase commit** (coordinator
+//!   towards clients, and presumed-commit **two-phase commit** (coordinator
 //!   and participant roles);
 //! * [`NodeServer`] — a diskless BeSS server: client of the real servers,
 //!   server for its node's applications, with the shared client cache of
@@ -341,6 +341,14 @@ mod tests {
         assert_eq!(w.servers[1].stats().prepares.get(), 1);
     }
 
+    /// Phase 1 at participant 101, driven by hand: one branch, one frame.
+    fn prepare(driver: &bess_net::Endpoint<Msg>, gtxn: GTxn, u: PageUpdate) -> Msg {
+        let items = vec![PrepareItem { gtxn, locker: 0, release_locks: false, updates: vec![u] }];
+        driver
+            .call(NodeId(101), Msg::PrepareBatch { items }, Duration::from_secs(2))
+            .unwrap()
+    }
+
     #[test]
     fn in_doubt_participant_resolves_with_coordinator() {
         // Participant crashes after Prepare, before the decision arrives;
@@ -375,22 +383,10 @@ mod tests {
             Msg::TxnId(g) => g,
             other => panic!("{other:?}"),
         };
-        driver
-            .call(
-                NodeId(101),
-                Msg::ShipUpdates {
-                    gtxn,
-                    updates: vec![update(p, 0, &[0; 5], b"doubt")],
-                },
-                Duration::from_secs(2),
-            )
-            .unwrap();
-        assert!(matches!(
-            driver
-                .call(NodeId(101), Msg::Prepare { gtxn, locker: 0, release_locks: false }, Duration::from_secs(2))
-                .unwrap(),
-            Msg::VoteYes
-        ));
+        assert_eq!(
+            prepare(&driver, gtxn, update(p, 0, &[0; 5], b"doubt")),
+            Msg::VoteBatch { votes: vec![(gtxn, Vote::Yes)] }
+        );
         // Coordinator decides commit durably, but the participant crashes
         // before hearing it. Restart the coordinator so its decision table
         // is rebuilt from its log.
@@ -447,19 +443,7 @@ mod tests {
 
         let driver = net.register(NodeId(7));
         let gtxn = (100u64 << 32) | 999; // coordinator never heard of it
-        driver
-            .call(
-                NodeId(101),
-                Msg::ShipUpdates {
-                    gtxn,
-                    updates: vec![update(p, 0, &[0; 3], b"bad")],
-                },
-                Duration::from_secs(2),
-            )
-            .unwrap();
-        driver
-            .call(NodeId(101), Msg::Prepare { gtxn, locker: 0, release_locks: false }, Duration::from_secs(2))
-            .unwrap();
+        prepare(&driver, gtxn, update(p, 0, &[0; 3], b"bad"));
 
         let part_log = part.log().simulate_crash().unwrap();
         part.shutdown();

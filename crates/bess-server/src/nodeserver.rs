@@ -31,7 +31,7 @@ use bess_wal::{LogBody, LogManager, LogPageId, Lsn};
 use parking_lot::{Condvar, Mutex};
 
 use crate::directory::Directory;
-use crate::proto::{Msg, PageUpdate};
+use crate::proto::{coordinator_of, GTxn, Msg, PageUpdate};
 
 /// Node-server configuration.
 #[derive(Clone, Debug)]
@@ -144,6 +144,10 @@ struct NsInner {
     /// keys).
     // LINT: allow(raw-counter) — request-id allocator for upstream idempotent retry, not a metric
     next_req: AtomicU64,
+    /// Prefetched global transaction ids, refilled by the `BeginGlobal`
+    /// trailer on every `CommitGlobal` frame (ids of any coordinator this
+    /// node has used).
+    gtxn_pool: Mutex<Vec<GTxn>>,
     /// Last time any message went to each owning server; the idle tick
     /// suppresses a standalone heartbeat when real traffic already renewed
     /// the lease within the heartbeat interval.
@@ -207,6 +211,7 @@ impl NodeServer {
             next_txn: AtomicU64::new(1),
             incarnation: crate::client::fresh_incarnation(),
             next_req: AtomicU64::new(1),
+            gtxn_pool: Mutex::new(Vec::new()),
             last_sent: Mutex::new(HashMap::new()),
             running: AtomicBool::new(true),
             stats: NodeServerStats::new(&group),
@@ -826,38 +831,58 @@ impl NsInner {
             }
             _ => {
                 self.stats.global_commits.inc();
-                let coordinator = *by_owner.keys().min().expect("nonempty");
-                let gtxn = match self.call_srv(coordinator, Msg::BeginGlobal) {
-                    Ok(Msg::TxnId(g)) => g,
-                    Ok(other) => return Err(format!("bad reply {other:?}")),
-                    Err(e) => return Err(e.to_string()),
+                let mut branches: Vec<(u32, Vec<PageUpdate>)> =
+                    by_owner.into_iter().map(|(owner, ups)| (owner.0, ups)).collect();
+                branches.sort_unstable_by_key(|(p, _)| *p);
+                // The lowest-numbered owner coordinates.
+                let coordinator = NodeId(branches[0].0);
+                // A pooled id is only good at the coordinator that issued
+                // it (the node is encoded in the id's high bits).
+                let pooled = {
+                    let mut pool = self.gtxn_pool.lock();
+                    pool.iter()
+                        .position(|g| coordinator_of(*g) == coordinator.0)
+                        .map(|i| pool.swap_remove(i))
                 };
-                let participants: Vec<u32> = by_owner.keys().map(|n| n.0).collect();
-                for (owner, ups) in by_owner {
-                    match self.call_srv(
-                        owner,
-                        Msg::ShipUpdates {
-                            gtxn,
-                            updates: ups,
-                        },
-                    ) {
-                        Ok(Msg::Ok) => {}
+                let gtxn = match pooled {
+                    Some(g) => g,
+                    None => match self.call_srv(coordinator, Msg::BeginGlobal) {
+                        Ok(Msg::TxnId(g)) => g,
                         Ok(other) => return Err(format!("bad reply {other:?}")),
                         Err(e) => return Err(e.to_string()),
-                    }
-                }
+                    },
+                };
                 let req =
                     crate::client::make_req(self.incarnation, self.next_req.fetch_add(1, Ordering::Relaxed));
-                match self.call_srv(
+                // Every branch rides the commit frame; the `BeginGlobal`
+                // trailer prefetches the id for this coordinator's next
+                // round.
+                let reply = self.call_srv(
                     coordinator,
-                    Msg::CommitGlobal {
-                        gtxn,
-                        participants,
-                        req,
-                        release_read_locks: false,
-                        branches: Vec::new(),
-                    },
-                ) {
+                    Msg::with_trailers(
+                        Msg::CommitGlobal {
+                            gtxn,
+                            participants: branches.iter().map(|(p, _)| *p).collect(),
+                            req,
+                            release_read_locks: false,
+                            branches,
+                        },
+                        vec![Msg::BeginGlobal],
+                    ),
+                );
+                let reply = match reply {
+                    Ok(Msg::WithTrailers { msg, trailers }) => {
+                        self.caller.stats().trailers.add(trailers.len() as u64);
+                        let mut pool = self.gtxn_pool.lock();
+                        pool.extend(trailers.into_iter().filter_map(|t| match t {
+                            Msg::TxnId(g) => Some(g),
+                            _ => None,
+                        }));
+                        Ok(*msg)
+                    }
+                    other => other,
+                };
+                match reply {
                     Ok(Msg::Decision { committed: true }) => Ok(()),
                     Ok(Msg::Decision { committed: false }) => Err("2PC aborted".into()),
                     Ok(other) => Err(format!("bad reply {other:?}")),

@@ -53,11 +53,10 @@ pub struct PrepareItem {
     /// locks at vote time (sound only for non-caching, one-transaction-
     /// at-a-time clients that opted in).
     pub release_locks: bool,
-    /// This branch's piggybacked page updates: a client that shipped its
-    /// write sets inside [`Msg::CommitGlobal`] (see its `branches` field)
-    /// has them forwarded here, so the participant stages and prepares
-    /// in one wire frame. Empty when the branch was shipped with a
-    /// standalone [`Msg::ShipUpdates`] beforehand.
+    /// This branch's page updates, forwarded from the client's
+    /// [`Msg::CommitGlobal`] (see its `branches` field) so the participant
+    /// stages and prepares in one wire frame. Empty for a participant the
+    /// transaction only read from.
     pub updates: Vec<PageUpdate>,
 }
 
@@ -171,14 +170,6 @@ pub enum Msg {
     Heartbeat,
 
     // ---- two-phase commit (§3) ----------------------------------------
-    /// Ship a distributed transaction's updates to a participant ahead of
-    /// prepare; reply: [`Msg::Ok`].
-    ShipUpdates {
-        /// Global transaction.
-        gtxn: GTxn,
-        /// Updates owned by this participant.
-        updates: Vec<PageUpdate>,
-    },
     /// Ask the coordinator (the client's first server, §3) to run 2PC;
     /// reply: [`Msg::Decision`].
     CommitGlobal {
@@ -193,24 +184,11 @@ pub enum Msg {
         /// phase 1 (the read-only-participant optimisation; sound only
         /// for non-caching, one-transaction-at-a-time clients).
         release_read_locks: bool,
-        /// Per-participant write sets piggybacked on the commit request
-        /// itself (`(node, updates)`): the coordinator stages its own
-        /// branch and forwards each remote branch inside that
-        /// participant's [`PrepareItem`], replacing the per-participant
-        /// [`Msg::ShipUpdates`] round trips. Empty for clients that ship
-        /// ahead of commit.
+        /// Per-participant write sets (`(node, updates)`): the coordinator
+        /// stages its own branch and forwards each remote branch inside
+        /// that participant's [`PrepareItem`]. A participant without an
+        /// entry is read-only for this transaction.
         branches: Vec<(u32, Vec<PageUpdate>)>,
-    },
-    /// Coordinator → participant phase 1; reply: [`Msg::VoteYes`],
-    /// [`Msg::VoteNo`], or [`Msg::VoteReadOnly`].
-    Prepare {
-        /// Global transaction.
-        gtxn: GTxn,
-        /// The committing client's node (whose locks cover this branch),
-        /// or `0` when unknown.
-        locker: u32,
-        /// Release `locker`'s locks if this participant votes read-only.
-        release_locks: bool,
     },
     /// Coordinator → participant batched phase 1: one wire frame carrying
     /// the prepare requests of several concurrent global transactions;
@@ -225,13 +203,6 @@ pub enum Msg {
     DecideBatch {
         /// `(gtxn, commit)` verdicts.
         decisions: Vec<(GTxn, bool)>,
-    },
-    /// Coordinator → participant phase 2; reply: [`Msg::Ok`].
-    Decide {
-        /// Global transaction.
-        gtxn: GTxn,
-        /// Whether to commit.
-        commit: bool,
     },
     /// Recovering participant asks the coordinator for a verdict; reply:
     /// [`Msg::Decision`], [`Msg::DecisionPending`] (the round is still
@@ -291,14 +262,6 @@ pub enum Msg {
     /// The lock is in use; release will follow via
     /// [`Msg::ReleaseCached`].
     CallbackDeferred,
-    /// Participant votes yes.
-    VoteYes,
-    /// Participant votes no.
-    VoteNo,
-    /// Participant votes: it made no updates for this transaction. It has
-    /// already forgotten the branch (and released the requester's locks if
-    /// asked); the coordinator must drop it from phase 2.
-    VoteReadOnly,
     /// Participant's batched phase-1 votes, one per [`Msg::PrepareBatch`]
     /// entry, in the same order.
     VoteBatch {
@@ -340,7 +303,9 @@ pub enum Msg {
 // Little-endian, length-prefixed, one tag byte per variant. The in-process
 // network ships `Msg` values directly, so the codec is not on the hot path;
 // it exists so the wire form is explicit and every variant round-trips
-// under the property tests in `tests/proto_roundtrip.rs`.
+// under the property tests in `tests/proto_roundtrip.rs`. Tags are never
+// reused: 12, 14, 15, 30, 31 and 36 belonged to retired 2PC messages and
+// decode as errors.
 
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
@@ -666,11 +631,6 @@ impl Msg {
                 b.push(11);
                 put_u64(&mut b, *txn);
             }
-            Msg::ShipUpdates { gtxn, updates } => {
-                b.push(12);
-                put_u64(&mut b, *gtxn);
-                put_updates(&mut b, updates);
-            }
             Msg::CommitGlobal {
                 gtxn,
                 participants,
@@ -693,21 +653,6 @@ impl Msg {
                     put_u32(&mut b, *p);
                     put_updates(&mut b, updates);
                 }
-            }
-            Msg::Prepare {
-                gtxn,
-                locker,
-                release_locks,
-            } => {
-                b.push(14);
-                put_u64(&mut b, *gtxn);
-                put_u32(&mut b, *locker);
-                b.push(u8::from(*release_locks));
-            }
-            Msg::Decide { gtxn, commit } => {
-                b.push(15);
-                put_u64(&mut b, *gtxn);
-                b.push(u8::from(*commit));
             }
             Msg::QueryDecision { gtxn } => {
                 b.push(16);
@@ -757,8 +702,6 @@ impl Msg {
             }
             Msg::CallbackReleased => b.push(28),
             Msg::CallbackDeferred => b.push(29),
-            Msg::VoteYes => b.push(30),
-            Msg::VoteNo => b.push(31),
             Msg::Decision { committed } => {
                 b.push(32);
                 b.push(u8::from(*committed));
@@ -766,7 +709,6 @@ impl Msg {
             Msg::Unknown => b.push(33),
             Msg::Heartbeat => b.push(34),
             Msg::DecisionPending => b.push(35),
-            Msg::VoteReadOnly => b.push(36),
             Msg::PrepareBatch { items } => {
                 b.push(37);
                 // LINT: allow(cast) — a batch is capped by TwoPcConfig::max_batch.
@@ -863,10 +805,6 @@ impl Msg {
                 updates: c.updates()?,
             },
             11 => Msg::Abort { txn: c.u64()? },
-            12 => Msg::ShipUpdates {
-                gtxn: c.u64()?,
-                updates: c.updates()?,
-            },
             13 => {
                 let gtxn = c.u64()?;
                 let req = c.u64()?;
@@ -890,15 +828,6 @@ impl Msg {
                     branches,
                 }
             }
-            14 => Msg::Prepare {
-                gtxn: c.u64()?,
-                locker: c.u32()?,
-                release_locks: c.bool()?,
-            },
-            15 => Msg::Decide {
-                gtxn: c.u64()?,
-                commit: c.bool()?,
-            },
             16 => Msg::QueryDecision { gtxn: c.u64()? },
             17 => Msg::BeginGlobal,
             18 => Msg::Callback { name: c.name()? },
@@ -920,15 +849,12 @@ impl Msg {
             27 => Msg::Bytes(c.bytes()?),
             28 => Msg::CallbackReleased,
             29 => Msg::CallbackDeferred,
-            30 => Msg::VoteYes,
-            31 => Msg::VoteNo,
             32 => Msg::Decision {
                 committed: c.bool()?,
             },
             33 => Msg::Unknown,
             34 => Msg::Heartbeat,
             35 => Msg::DecisionPending,
-            36 => Msg::VoteReadOnly,
             37 => {
                 let n = c.u32()? as usize;
                 let mut items = Vec::with_capacity(n.min(1024));

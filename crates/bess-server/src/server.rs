@@ -17,7 +17,7 @@
 //! immediately and waiting (bounded by the deadlock timeout) for locks in
 //! use. Commits log physical byte-range updates, force the log, then apply
 //! the after-images to the storage areas. Distributed commits run
-//! presumed-abort 2PC with the client's first server as coordinator.
+//! presumed-commit 2PC with the client's first server as coordinator.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -54,10 +54,6 @@ pub struct TwoPcConfig {
     /// WAL's group commit exploits — without adding latency to an
     /// uncontended round.
     pub max_wait: Duration,
-    /// Pre-optimisation behaviour: serial phase-1 fan-out, acknowledged
-    /// per-transaction phase 2, no batching, read-only votes treated as
-    /// write participants. Kept as the A/B baseline for benchmarks.
-    pub compat_presumed_abort: bool,
 }
 
 impl Default for TwoPcConfig {
@@ -65,7 +61,6 @@ impl Default for TwoPcConfig {
         TwoPcConfig {
             max_batch: 16,
             max_wait: Duration::ZERO,
-            compat_presumed_abort: false,
         }
     }
 }
@@ -340,9 +335,9 @@ struct ServerInner {
     /// not read a mid-round "no decision yet" as "no record: presumed
     /// abort" and undo a branch the round is about to commit.
     coordinating: Mutex<std::collections::HashSet<GTxn>>,
-    /// Updates shipped ahead of 2PC, keyed by global transaction, tagged
-    /// with the shipping client node so the reaper can drop a dead
-    /// client's unprepared branches.
+    /// Write sets staged for phase 1 (see `stage`), keyed by global
+    /// transaction, tagged with the committing client node so the reaper
+    /// can drop a dead client's unprepared branches.
     pending: Mutex<HashMap<GTxn, (u32, Vec<PageUpdate>)>>,
     prepared: Mutex<HashMap<GTxn, PreparedTxn>>,
     /// Phase-1 gather queues, one slot per participant node.
@@ -693,7 +688,7 @@ impl BessServer {
         self.inner.locks.held_by(TxnId(u64::from(node.0)))
     }
 
-    /// Global transactions with shipped-but-unprepared updates.
+    /// Global transactions with staged-but-unprepared updates.
     pub fn pending_gtxns(&self) -> Vec<GTxn> {
         let mut v: Vec<GTxn> = self.inner.pending.lock().keys().copied().collect();
         v.sort_unstable();
@@ -922,17 +917,12 @@ impl ServerInner {
                 Msg::WriteAt { .. }
                 | Msg::Commit { .. }
                 | Msg::CommitGlobal { .. }
-                | Msg::ShipUpdates { .. }
                 | Msg::AllocSegment { .. }
                 | Msg::FreeSegment { .. } => {
                     self.stats.read_only_rejections.inc();
                     return Some(Msg::Err(
                         "server read-only after repeated media errors".into(),
                     ));
-                }
-                Msg::Prepare { .. } => {
-                    self.stats.read_only_rejections.inc();
-                    return Some(Msg::VoteNo);
                 }
                 Msg::PrepareBatch { items } => {
                     self.stats.read_only_rejections.inc();
@@ -1229,15 +1219,6 @@ impl ServerInner {
                 let _ = txn;
                 Msg::Ok
             }
-            Msg::ShipUpdates { gtxn, updates } => {
-                self.pending
-                    .lock()
-                    .entry(gtxn)
-                    .or_insert_with(|| (from.0, Vec::new()))
-                    .1
-                    .extend(updates);
-                Msg::Ok
-            }
             Msg::CommitGlobal {
                 gtxn,
                 participants,
@@ -1245,39 +1226,15 @@ impl ServerInner {
                 branches,
                 ..
             } => self.do_commit_global(from, gtxn, &participants, release_read_locks, branches),
-            Msg::Prepare {
-                gtxn,
-                locker,
-                release_locks,
-            } => match self.do_prepare(gtxn, locker, release_locks) {
-                Vote::Yes => Msg::VoteYes,
-                Vote::No => Msg::VoteNo,
-                Vote::ReadOnly => Msg::VoteReadOnly,
-            },
             Msg::PrepareBatch { items } => Msg::VoteBatch {
                 votes: items
                     .into_iter()
                     .map(|i| {
-                        // Stage the branch's piggybacked write set (if the
-                        // client shipped inside the commit frame) before
-                        // preparing, exactly as a standalone ShipUpdates
-                        // would have.
-                        if !i.updates.is_empty() {
-                            self.pending
-                                .lock()
-                                .entry(i.gtxn)
-                                .or_insert_with(|| (i.locker, Vec::new()))
-                                .1
-                                .extend(i.updates);
-                        }
+                        self.stage(i.gtxn, i.locker, i.updates);
                         (i.gtxn, self.do_prepare(i.gtxn, i.locker, i.release_locks))
                     })
                     .collect(),
             },
-            Msg::Decide { gtxn, commit } => {
-                self.decide(gtxn, commit);
-                Msg::Ok
-            }
             Msg::DecideBatch { decisions } => {
                 for (gtxn, commit) in decisions {
                     self.decide(gtxn, commit);
@@ -1518,6 +1475,20 @@ impl ServerInner {
         Msg::Ok
     }
 
+    /// Stages a branch's write set for [`Self::do_prepare`], tagged with
+    /// the client node whose locks cover it. An empty set stages nothing:
+    /// that participant is read-only for the transaction.
+    fn stage(&self, gtxn: GTxn, shipper: u32, updates: Vec<PageUpdate>) {
+        if !updates.is_empty() {
+            self.pending
+                .lock()
+                .entry(gtxn)
+                .or_insert_with(|| (shipper, Vec::new()))
+                .1
+                .extend(updates);
+        }
+    }
+
     /// 2PC phase 1 at a participant.
     ///
     /// A participant with no shipped updates is **read-only** for this
@@ -1605,9 +1576,8 @@ impl ServerInner {
     /// coordinator re-sends verdicts for decisions without a closing
     /// `End`, and the decision table (never pruned) still answers
     /// `QueryDecision` exactly as before, so "no record" keeps meaning
-    /// presumed abort. Aborts stay on the acknowledged per-transaction
-    /// path — they are the rare case, and acking them lets the round
-    /// confirm the undo happened.
+    /// presumed abort. Aborts are acknowledged calls — they are the rare
+    /// case, and acking them lets the round confirm the undo happened.
     fn do_commit_global(
         &self,
         from: NodeId,
@@ -1625,114 +1595,56 @@ impl ServerInner {
         // "no record" and presume abort on a branch this round commits.
         self.coordinating.lock().insert(gtxn);
         let locker = from.0;
-        let compat = self.cfg.two_pc.compat_presumed_abort;
 
-        // Write sets piggybacked on the commit frame: stage the
-        // coordinator's own branch exactly as a standalone `ShipUpdates`
-        // would; remote branches are forwarded inside each participant's
-        // phase-1 entry (or, in compat mode, shipped with an explicit
-        // call just before the serial prepare).
+        // The write sets ride the commit frame: stage the coordinator's
+        // own branch here; remote branches are forwarded inside each
+        // participant's phase-1 entry.
         let mut remote_branches: HashMap<u32, Vec<PageUpdate>> = HashMap::new();
         for (p, updates) in branches {
             if p == self.cfg.node.0 {
-                self.pending
-                    .lock()
-                    .entry(gtxn)
-                    .or_insert_with(|| (locker, Vec::new()))
-                    .1
-                    .extend(updates);
+                self.stage(gtxn, locker, updates);
             } else {
                 remote_branches.entry(p).or_default().extend(updates);
             }
         }
 
-        // Phase 1: issue every prepare before collecting any vote. Remote
-        // participants go through the per-participant gather queue, so
-        // concurrent rounds share `PrepareBatch` frames; the local branch
-        // prepares on this thread.
-        let votes: Vec<Vote> = if compat {
-            // Baseline: serial fan-out, first No short-circuits, read-only
-            // votes counted as write participants.
-            let mut votes = Vec::new();
-            for &p in participants {
-                let v = if p == self.cfg.node.0 {
-                    self.do_prepare(gtxn, locker, false)
+        // Phase 1: issue every prepare before collecting any vote. Queue
+        // every remote branch first — the participants' pump threads fan
+        // the frames out concurrently, and concurrent rounds share
+        // `PrepareBatch` frames — then prepare the local branch on this
+        // thread while those are on the wire, and only then sit down to
+        // collect votes.
+        for &p in participants {
+            if p != self.cfg.node.0 {
+                self.enqueue_prepare(
+                    p,
+                    PrepareItem {
+                        gtxn,
+                        locker,
+                        release_locks: release_read_locks,
+                        updates: remote_branches.remove(&p).unwrap_or_default(),
+                    },
+                );
+            }
+        }
+        let votes: Vec<Vote> = participants
+            .iter()
+            .map(|&p| {
+                if p == self.cfg.node.0 {
+                    self.do_prepare(gtxn, locker, release_read_locks)
                 } else {
-                    // A branch the client piggybacked must reach the
-                    // participant before its prepare; compat mode has no
-                    // batched frame to carry it, so ship explicitly.
-                    let shipped = match remote_branches.remove(&p) {
-                        Some(updates) => matches!(
-                            self.caller.call(
-                                NodeId(p),
-                                Msg::ShipUpdates { gtxn, updates },
-                                self.cfg.rpc_timeout,
-                            ),
-                            Ok(Msg::Ok)
-                        ),
-                        None => true,
-                    };
-                    if !shipped {
-                        Vote::No
-                    } else {
-                        match self.caller.call(
-                            NodeId(p),
-                            Msg::Prepare {
-                                gtxn,
-                                locker,
-                                release_locks: false,
-                            },
-                            self.cfg.rpc_timeout,
-                        ) {
-                            Ok(Msg::VoteYes) | Ok(Msg::VoteReadOnly) => Vote::Yes,
-                            _ => Vote::No,
-                        }
-                    }
-                };
-                let no = v == Vote::No;
-                votes.push(if v == Vote::ReadOnly { Vote::Yes } else { v });
-                if no {
-                    break;
+                    self.await_vote(p, gtxn)
                 }
-            }
-            votes
-        } else {
-            // Queue every remote branch first — the participants' pump
-            // threads fan the frames out concurrently — then prepare the
-            // local branch on this thread while those are on the wire,
-            // and only then sit down to collect votes.
-            for &p in participants {
-                if p != self.cfg.node.0 {
-                    self.enqueue_prepare(
-                        p,
-                        PrepareItem {
-                            gtxn,
-                            locker,
-                            release_locks: release_read_locks,
-                            updates: remote_branches.remove(&p).unwrap_or_default(),
-                        },
-                    );
-                }
-            }
-            participants
-                .iter()
-                .map(|&p| {
-                    if p == self.cfg.node.0 {
-                        self.do_prepare(gtxn, locker, release_read_locks)
-                    } else {
-                        self.await_vote(p, gtxn)
-                    }
-                })
-                .collect()
-        };
+            })
+            .collect();
 
-        let all_yes = votes.len() == participants.len() && !votes.contains(&Vote::No);
+        let all_yes = !votes.contains(&Vote::No);
         // Write participants: everyone who voted Yes (and therefore holds
         // a prepared branch). Read-only voters already forgot the
         // transaction and are owed nothing.
         let write_parts: Vec<u32> = participants
             .iter()
-            .zip(votes.iter().chain(std::iter::repeat(&Vote::No)))
+            .zip(&votes)
             .filter(|(_, v)| **v == Vote::Yes)
             .map(|(p, _)| *p)
             .collect();
@@ -1772,37 +1684,26 @@ impl ServerInner {
         self.decisions.lock().insert(gtxn, all_yes);
         self.coordinating.lock().remove(&gtxn);
 
-        // Phase 2.
-        if all_yes && !compat {
-            // Presumed commit: one-way verdicts, merged opportunistically
-            // into `DecideBatch` frames. The `End` record (not forced)
-            // closes the round so restart knows the sends happened; the
-            // local branch applies before we reply, keeping the client's
-            // read-your-writes view.
-            for &p in &remote_writers {
+        // Phase 2. The `End` record (not forced) closes the round so
+        // restart knows the verdicts went out; the local branch resolves
+        // before we reply, keeping the client's read-your-writes view.
+        for &p in &remote_writers {
+            if all_yes {
+                // One-way, merged opportunistically into shared frames.
                 self.send_decide(p, gtxn, true);
+            } else {
+                let _ = self.caller.call(
+                    NodeId(p),
+                    Msg::DecideBatch {
+                        decisions: vec![(gtxn, false)],
+                    },
+                    self.cfg.rpc_timeout,
+                );
             }
-            self.log.append(gtxn, l, LogBody::End);
-            if write_parts.contains(&self.cfg.node.0) {
-                self.decide(gtxn, true);
-            }
-        } else {
-            // Aborts (and the compat baseline) use acknowledged calls.
-            for &p in &write_parts {
-                if p == self.cfg.node.0 {
-                    self.decide(gtxn, all_yes);
-                } else {
-                    let _ = self.caller.call(
-                        NodeId(p),
-                        Msg::Decide {
-                            gtxn,
-                            commit: all_yes,
-                        },
-                        self.cfg.rpc_timeout,
-                    );
-                }
-            }
-            self.log.append(gtxn, l, LogBody::End);
+        }
+        self.log.append(gtxn, l, LogBody::End);
+        if write_parts.contains(&self.cfg.node.0) {
+            self.decide(gtxn, all_yes);
         }
         Msg::Decision {
             committed: all_yes,

@@ -3,11 +3,11 @@
 //! Every [`Msg`] variant — including the failure-containment additions
 //! ([`Msg::Heartbeat`], [`Msg::DecisionPending`] and the `req` request ids
 //! on [`Msg::Commit`] / [`Msg::CommitGlobal`], and the sublinear-commit
-//! additions [`Msg::VoteReadOnly`], [`Msg::PrepareBatch`],
-//! [`Msg::VoteBatch`], [`Msg::DecideBatch`] and [`Msg::WithTrailers`]) —
-//! must satisfy `decode(encode(m)) == Ok(m)`. The strategy below gives
-//! each of the 41 variants equal weight so a few hundred cases exercise
-//! all of them many times over.
+//! additions [`Msg::PrepareBatch`], [`Msg::VoteBatch`],
+//! [`Msg::DecideBatch`] and [`Msg::WithTrailers`]) — must satisfy
+//! `decode(encode(m)) == Ok(m)`. The strategy below gives each of the 35
+//! variants equal weight so a few hundred cases exercise all of them many
+//! times over.
 
 use bess_cache::DbPage;
 use bess_lock::{LockMode, LockName};
@@ -86,7 +86,8 @@ fn leaf_msg_strategy() -> impl Strategy<Value = Msg> {
         Just(Msg::ReleaseAll),
         Just(Msg::BeginGlobal),
         any::<u64>().prop_map(Msg::TxnId),
-        (any::<u64>(), any::<bool>()).prop_map(|(gtxn, commit)| Msg::Decide { gtxn, commit }),
+        (any::<u64>(), any::<bool>())
+            .prop_map(|(gtxn, commit)| Msg::DecideBatch { decisions: vec![(gtxn, commit)] }),
     ]
 }
 
@@ -112,8 +113,6 @@ fn msg_strategy() -> impl Strategy<Value = Msg> {
         any::<u64>().prop_map(|txn| Msg::Abort { txn }),
         Just(Msg::Heartbeat),
         // ---- two-phase commit ------------------------------------------
-        (any::<u64>(), updates_strategy())
-            .prop_map(|(gtxn, updates)| Msg::ShipUpdates { gtxn, updates }),
         (
             (any::<u64>(), prop::collection::vec(any::<u32>(), 0..5)),
             (any::<u64>(), any::<bool>(), branches_strategy())
@@ -127,13 +126,10 @@ fn msg_strategy() -> impl Strategy<Value = Msg> {
                     branches,
                 }
             }),
-        (any::<u64>(), any::<u32>(), any::<bool>())
-            .prop_map(|(gtxn, locker, release_locks)| Msg::Prepare { gtxn, locker, release_locks }),
         prop::collection::vec(prepare_item_strategy(), 0..5)
             .prop_map(|items| Msg::PrepareBatch { items }),
         prop::collection::vec((any::<u64>(), any::<bool>()), 0..5)
             .prop_map(|decisions| Msg::DecideBatch { decisions }),
-        (any::<u64>(), any::<bool>()).prop_map(|(gtxn, commit)| Msg::Decide { gtxn, commit }),
         any::<u64>().prop_map(|gtxn| Msg::QueryDecision { gtxn }),
         Just(Msg::BeginGlobal),
         // ---- server -> client ------------------------------------------
@@ -152,9 +148,6 @@ fn msg_strategy() -> impl Strategy<Value = Msg> {
         bytes_strategy().prop_map(Msg::Bytes),
         Just(Msg::CallbackReleased),
         Just(Msg::CallbackDeferred),
-        Just(Msg::VoteYes),
-        Just(Msg::VoteNo),
-        Just(Msg::VoteReadOnly),
         prop::collection::vec((any::<u64>(), vote_strategy()), 0..5)
             .prop_map(|votes| Msg::VoteBatch { votes }),
         any::<bool>().prop_map(|committed| Msg::Decision { committed }),
@@ -198,4 +191,39 @@ fn unknown_tag_is_rejected() {
         trailers: vec![Msg::Heartbeat, Msg::ReleaseAll],
     };
     assert_eq!(Msg::decode(&wrapped.encode()), Ok(wrapped));
+}
+
+/// The wire format outlives the messages it once carried: the six retired
+/// 2PC tags stay retired (an old peer's frame is an error, never a
+/// different message), and retiring them renumbered nothing.
+#[test]
+fn retired_tags_stay_dead_and_survivors_keep_their_bytes() {
+    for tag in [12u8, 14, 15, 30, 31, 36] {
+        // Long enough for any of the retired layouts, so the tag itself —
+        // not truncation — is what the decoder rejects.
+        let mut frame = vec![0u8; 32];
+        frame[0] = tag;
+        assert_eq!(Msg::decode(&frame), Err(format!("bad message tag {tag}")));
+    }
+    let survivors: [(u8, Msg); 10] = [
+        (11, Msg::Abort { txn: 1 }),
+        (13, Msg::CommitGlobal {
+            gtxn: 1,
+            participants: vec![],
+            req: 0,
+            release_read_locks: false,
+            branches: vec![],
+        }),
+        (16, Msg::QueryDecision { gtxn: 1 }),
+        (17, Msg::BeginGlobal),
+        (29, Msg::CallbackDeferred),
+        (32, Msg::Decision { committed: true }),
+        (35, Msg::DecisionPending),
+        (37, Msg::PrepareBatch { items: vec![] }),
+        (38, Msg::VoteBatch { votes: vec![] }),
+        (39, Msg::DecideBatch { decisions: vec![] }),
+    ];
+    for (tag, msg) in survivors {
+        assert_eq!(msg.encode()[0], tag, "{msg:?} moved off tag {tag}");
+    }
 }

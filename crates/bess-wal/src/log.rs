@@ -250,6 +250,10 @@ pub enum ForcePoint {
     /// and no waiter has been woken. A crash here leaves the group
     /// durable yet unacknowledged.
     AfterSync,
+    /// A follower came out of its condvar wait (its group finished, or
+    /// the gather notify woke it early) and has released every lock, but
+    /// has not yet looked at the outcome.
+    FollowerWoke,
 }
 
 /// A test hook called at [`ForcePoint`]s with no log locks held.
@@ -303,7 +307,7 @@ pub struct LogManager {
     /// Mirror of `GroupCommitConfig::max_group_bytes`, same reason.
     gather_bytes: AtomicUsize,
     /// Crash-test seam: called at labelled force points, no locks held.
-    force_hook: Mutex<Option<ForceHook>>,
+    force_hook: Mutex<Option<Arc<ForceHook>>>,
     group: Group,
     stats: WalStats,
     append_ns: LatencyHistogram,
@@ -529,12 +533,15 @@ impl LogManager {
     /// backing disk at exact protocol steps (between swap and sync, or
     /// after sync but before waiters wake).
     pub fn set_force_hook(&self, hook: Option<ForceHook>) {
-        *self.force_hook.lock() = hook;
+        *self.force_hook.lock() = hook.map(Arc::new);
     }
 
     fn at_force_point(&self, p: ForcePoint) {
-        if let Some(h) = self.force_hook.lock().as_ref() {
-            h(p);
+        // Cloned out so the hook runs without the slot locked: a hook
+        // parked at one point must not block another thread's point.
+        let hook = self.force_hook.lock().clone();
+        if let Some(h) = hook {
+            (*h)(p);
         }
     }
 
@@ -609,6 +616,19 @@ impl LogManager {
         let mut counted_follower = false;
         loop {
             let mut g = self.gc.lock();
+            // A failed force fails every member of its group. Checked on
+            // every pass, not only right after the wait: a follower woken
+            // early (the gather notify shares the condvar) may get back
+            // here only after its leader published the failure and cleared
+            // `force_in_progress` — it must not lead the next round and
+            // report the re-forced tail as its own success.
+            if let (Some(mine), Some((gen, msg))) = (joined, g.failed.as_ref()) {
+                if mine == *gen {
+                    return Err(WalError::Io(std::io::Error::other(format!(
+                        "group force failed: {msg}"
+                    ))));
+                }
+            }
             // Re-check the watermark under `gc`, so the check and the
             // join-or-lead decision are one atomic step.
             {
@@ -634,14 +654,8 @@ impl LogManager {
                 }
                 // LINT: allow(blocking-under-lock) — condvar wait atomically releases `gc` via raw().
                 self.group_cv.wait(g.raw());
-                // A failed force fails every member of its group.
-                if let (Some(mine), Some((gen, msg))) = (joined, g.failed.as_ref()) {
-                    if mine == *gen {
-                        return Err(WalError::Io(std::io::Error::other(format!(
-                            "group force failed: {msg}"
-                        ))));
-                    }
-                }
+                drop(g);
+                self.at_force_point(ForcePoint::FollowerWoke);
                 continue;
             }
 

@@ -12,11 +12,11 @@
 //!       a sync that failed.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{mpsc, Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 use bess_storage::{FaultDisk, FaultKind, FaultPlan, OpClass};
-use bess_wal::{GroupCommitConfig, LogBody, LogManager, LogPageId, Lsn, WalResult, LOG_START};
+use bess_wal::{ForcePoint, GroupCommitConfig, LogBody, LogManager, LogPageId, Lsn, WalResult, LOG_START};
 
 fn upd(page: u64, len: usize) -> LogBody {
     LogBody::Update {
@@ -219,6 +219,80 @@ fn fault_during_group_force_fails_every_waiter() {
     assert_eq!(durable.len() as u64, log.flushed_lsn().0);
     let commits = log.iter().filter(|r| r.body == LogBody::Commit).count() as u64;
     assert_eq!(commits, THREADS);
+}
+
+/// (c), the interleaving behind the old flake: the gather notify wakes a
+/// follower while its leader's force is still in flight, and the follower
+/// gets back to the group lock only after the leader has published the
+/// failure and stepped down. It must still fail with its group — not lead
+/// the next round, re-force the spliced-back tail (the fault is
+/// single-shot) and report success. The force hook pins the order: the
+/// leader parks after its swap until the follower is out of the wait, and
+/// the follower stays off the lock until the leader has returned.
+#[test]
+fn follower_woken_before_failure_is_published_still_fails() {
+    let disk = FaultDisk::new(FaultPlan::unarmed());
+    let log = Arc::new(LogManager::create_faulty(Arc::clone(&disk)).unwrap());
+    log.set_master(Lsn::NULL).unwrap();
+    const GROUP_BYTES: usize = 4096;
+    log.set_group_commit(GroupCommitConfig {
+        enabled: true,
+        max_group_bytes: GROUP_BYTES,
+        max_wait: Duration::from_secs(60),
+    });
+    disk.arm(FaultPlan::armed(OpClass::Sync, 0, FaultKind::Eio));
+
+    let (woke_tx, woke_rx) = mpsc::channel::<()>();
+    let (resume_tx, resume_rx) = mpsc::channel::<()>();
+    let (woke_tx, woke_rx, resume_rx) = (Mutex::new(woke_tx), Mutex::new(woke_rx), Mutex::new(resume_rx));
+    let leader_parked = AtomicBool::new(false);
+    log.set_force_hook(Some(Box::new(move |p| match p {
+        // Only the failing leader parks; if the follower wrongly led a
+        // second round it must run through so the assertions can see it.
+        ForcePoint::AfterSwap if !leader_parked.swap(true, Ordering::SeqCst) => {
+            woke_rx.lock().unwrap().recv().unwrap();
+        }
+        ForcePoint::FollowerWoke => {
+            woke_tx.lock().unwrap().send(()).unwrap();
+            resume_rx.lock().unwrap().recv().unwrap();
+        }
+        _ => {}
+    })));
+
+    let committer = |txn: u64| {
+        let log = Arc::clone(&log);
+        std::thread::spawn(move || {
+            let b = log.append(txn, Lsn::NULL, LogBody::Begin);
+            log.flush(log.append(txn, b, LogBody::Commit))
+        })
+    };
+    // Waiting for a role to be taken is waiting for a state, not a race:
+    // the 60 s gather window keeps the leader put until the append below.
+    let leader = committer(1);
+    while log.stats().group_leaders.get() < 1 {
+        std::thread::yield_now();
+    }
+    let follower = committer(2);
+    while log.stats().group_followers.get() < 1 {
+        std::thread::yield_now();
+    }
+    // Crossing max_group_bytes notifies the shared condvar: the leader
+    // leaves its gather window and the follower wakes early.
+    log.append(99, Lsn::NULL, upd(99, GROUP_BYTES));
+
+    assert!(leader.join().unwrap().is_err(), "the armed sync fault fails the leader");
+    resume_tx.send(()).unwrap();
+    assert!(
+        follower.join().unwrap().is_err(),
+        "a member of the failed group reported success"
+    );
+    assert_eq!(log.stats().group_leaders.get(), 1, "the follower led a round of its own");
+    assert_eq!(log.stats().flushes.get(), 0);
+    assert_eq!(log.flushed_lsn(), LOG_START, "no spurious durability ack");
+
+    log.set_force_hook(None);
+    log.flush_all().unwrap();
+    assert_eq!(log.flushed_lsn(), log.next_lsn());
 }
 
 /// Solo mode (group commit disabled) keeps the same no-spurious-ack

@@ -12,7 +12,7 @@
 //! and the failure-containment invariants are asserted:
 //!
 //! * no lock or callback copy is still owned by the dead client;
-//! * no shipped-but-unprepared update set survives it;
+//! * no staged-but-unprepared update set survives it;
 //! * every prepared 2PC branch is resolved (presumed abort);
 //! * the durable pages are atomic — the distributed transaction's two
 //!   writes land together or not at all — and byte-identical to the
@@ -44,27 +44,82 @@ const CHECKER: NodeId = NodeId(2);
 const SRV0: NodeId = NodeId(100);
 const SRV1: NodeId = NodeId(101);
 
-/// The scripted workload's outbound client messages, in order:
+/// The scripted workload's outbound client messages under the shipped
+/// default client, in order:
 ///
-/// | idx | message                          | txn |
-/// |-----|----------------------------------|-----|
-/// | 0   | BeginTxn → srv0                  | A   |
-/// | 1   | FetchPage p0 (X) → srv0          | A   |
-/// | 2   | FetchPage p1 (X) → srv1          | A   |
-/// | 3   | BeginGlobal → srv0               | A   |
-/// | 4,5 | ShipUpdates → srv0, srv1         | A   |
-/// | 6   | CommitGlobal → srv0              | A   |
-/// | 7,8 | ReleaseAll → srv0, srv1          | A   |
-/// | 9   | BeginTxn → srv0                  | B   |
-/// | 10  | FetchPage p0 (X) → srv0          | B   |
-/// | 11  | Commit → srv0                    | B   |
-/// | 12  | ReleaseAll → srv0                | B   |
+/// | idx | message                                    | txn |
+/// |-----|--------------------------------------------|-----|
+/// | 0   | BeginTxn → srv0                            | A   |
+/// | 1   | FetchPage p0 (X) → srv0                    | A   |
+/// | 2   | FetchPage p1 (X) → srv1                    | A   |
+/// | 3   | BeginGlobal → srv0         (pool is empty) | A   |
+/// | 4   | CommitGlobal → srv0 [+branches, +prefetch] | A   |
+/// | 5,6 | ReleaseAll → srv0, srv1                    | A   |
+/// | 7   | BeginTxn → srv0                            | B   |
+/// | 8   | FetchPage p0 (X) → srv0                    | B   |
+/// | 9   | Commit → srv0                              | B   |
+/// | 10  | ReleaseAll → srv0                          | B   |
+///
+/// Both write branches of txn A ride the `CommitGlobal` frame (srv0
+/// forwards srv1's inside its phase-1 `PrepareBatch` entry), and the
+/// `BeginGlobal` trailer on that frame prefetches the next global id.
 ///
 /// The control run asserts this count so a protocol change updates the
 /// targeted indices below instead of silently skewing the sweep.
-const WORKLOAD_MSGS: u64 = 13;
-const IDX_COMMIT_GLOBAL: u64 = 6;
-const IDX_COMMIT: u64 = 11;
+const WORKLOAD_MSGS: u64 = 11;
+const IDX_COMMIT_GLOBAL: u64 = 4;
+const IDX_COMMIT: u64 = 9;
+
+/// The same workload against a client with every message-saving opt on
+/// ([`ClientOpts::turbo`]): lazy local begin, deferred lock release as
+/// trailers, and read-only participants releasing locks at their phase-1
+/// vote — which sends txn B through 2PC as well.
+///
+/// | idx | message                                      | txn |
+/// |-----|----------------------------------------------|-----|
+/// | 0   | FetchPage p0 (X) → srv0                      | A   |
+/// | 1   | FetchPage p1 (X) → srv1                      | A   |
+/// | 2   | BeginGlobal → srv0           (pool is empty) | A   |
+/// | 3   | CommitGlobal → srv0 [+branches, +prefetch]   | A   |
+/// | 4   | FetchPage p0 (X) → srv0     [+ReleaseAll]    | B   |
+/// | 5   | FetchPage p1 (S) → srv1     [+ReleaseAll]    | B   |
+/// | 6   | CommitGlobal → srv0 [+branches, +prefetch]   | B   |
+///
+/// No `BeginTxn`, no standalone `ReleaseAll`, no second `BeginGlobal`
+/// (prefetched by the trailer on message 3), and srv1 — read-only in txn
+/// B — votes at phase 1 and is never contacted again.
+const TURBO_WORKLOAD_MSGS: u64 = 7;
+const TURBO_IDX_COMMIT_A: u64 = 3;
+const TURBO_IDX_COMMIT_B: u64 = 6;
+
+/// One client configuration the matrix certifies. Everything else — the
+/// cluster, transaction A, the fault plan, the kill, every invariant — is
+/// shared.
+struct Profile {
+    name: &'static str,
+    opts: fn() -> ClientOpts,
+    txn_b: fn(&ClientConn, DbPage, DbPage) -> ClientResult<()>,
+    /// Client messages in a clean run (the table above).
+    msgs: u64,
+    /// 2PC rounds srv0 may coordinate: one per global commit, never more.
+    max_coordinated: u64,
+}
+
+const DEFAULT: Profile = Profile {
+    name: "default",
+    opts: ClientOpts::default,
+    txn_b,
+    msgs: WORKLOAD_MSGS,
+    max_coordinated: 1,
+};
+
+const TURBO: Profile = Profile {
+    name: "turbo",
+    opts: ClientOpts::turbo,
+    txn_b: txn_b_turbo,
+    msgs: TURBO_WORKLOAD_MSGS,
+    max_coordinated: 2,
+};
 
 struct Cluster {
     net: Arc<Network<Msg>>,
@@ -106,7 +161,7 @@ fn build() -> Cluster {
     Cluster { net, dir, servers, p0, p1 }
 }
 
-fn connect(cluster: &Cluster, node: NodeId) -> Arc<ClientConn> {
+fn connect_with(cluster: &Cluster, node: NodeId, opts: ClientOpts) -> Arc<ClientConn> {
     let mut cfg = ClientConfig::new(node, SRV0);
     cfg.caching = false;
     // Short timeout so a faulted RPC resolves quickly; heartbeats pushed
@@ -115,14 +170,20 @@ fn connect(cluster: &Cluster, node: NodeId) -> Arc<ClientConn> {
     cfg.rpc_timeout = Duration::from_millis(200);
     cfg.heartbeat_interval = Duration::from_secs(60);
     cfg.retry_base = Duration::from_millis(1);
+    cfg.opts = opts;
     ClientConn::connect(&cluster.net, Arc::clone(&cluster.dir), cfg)
+}
+
+fn connect(cluster: &Cluster, node: NodeId) -> Arc<ClientConn> {
+    connect_with(cluster, node, ClientOpts::default())
 }
 
 fn upd(p: DbPage, before: &[u8], after: &[u8]) -> PageUpdate {
     PageUpdate { page: p, offset: 0, before: before.to_vec(), after: after.to_vec() }
 }
 
-/// Transaction A: a distributed commit writing `aa` to both pages.
+/// Transaction A: a two-writer distributed commit (`aa` to both pages) —
+/// batched phase 1 and the one-way presumed-commit phase 2 towards srv1.
 fn txn_a(c: &ClientConn, p0: DbPage, p1: DbPage) -> ClientResult<()> {
     c.begin()?;
     c.fetch_page(p0, LockMode::X)?;
@@ -131,9 +192,19 @@ fn txn_a(c: &ClientConn, p0: DbPage, p1: DbPage) -> ClientResult<()> {
 }
 
 /// Transaction B: a single-server commit writing `bb` over p0.
-fn txn_b(c: &ClientConn, p0: DbPage) -> ClientResult<()> {
+fn txn_b(c: &ClientConn, p0: DbPage, _p1: DbPage) -> ClientResult<()> {
     c.begin()?;
     c.fetch_page(p0, LockMode::X)?;
+    c.commit(vec![upd(p0, b"aa", b"bb")])
+}
+
+/// Turbo transaction B: reads p1, writes p0 — srv1 is enrolled as a
+/// read-only participant, votes [`Vote::ReadOnly`], releases the client's
+/// locks at phase 1, and drops out of phase 2.
+fn txn_b_turbo(c: &ClientConn, p0: DbPage, p1: DbPage) -> ClientResult<()> {
+    c.begin()?;
+    c.fetch_page(p0, LockMode::X)?;
+    c.fetch_page(p1, LockMode::S)?;
     c.commit(vec![upd(p0, b"aa", b"bb")])
 }
 
@@ -150,6 +221,10 @@ struct CaseResult {
     /// `server.coordinated` at SRV0 after the case ran.
     coordinated0: u64,
     client_retries: u64,
+    /// `server.2pc.readonly_votes` at SRV1 / `server.2pc.oneway_decides`
+    /// at SRV0 after the case ran.
+    readonly_votes1: u64,
+    oneway_decides0: u64,
     /// Durable page images after reclamation.
     d0: Vec<u8>,
     d1: Vec<u8>,
@@ -164,14 +239,15 @@ fn read_page_bytes(srv: &BessServer, p: DbPage) -> Vec<u8> {
 
 /// Runs the scripted workload with `kind` armed at client message `at`,
 /// kills the client, reclaims it, and asserts every containment invariant.
-fn run_case(kind: NetFaultKind, at: u64) -> CaseResult {
+fn run_case(profile: &Profile, kind: NetFaultKind, at: u64) -> CaseResult {
     let cluster = build();
-    let label = format!("{kind:?} at client message {at}");
+    let label = format!("{} {kind:?} at client message {at}", profile.name);
     let plan = NetFaultPlan::armed_from(CLIENT, at, kind);
     cluster.net.arm(Arc::clone(&plan));
 
-    let client = connect(&cluster, CLIENT);
+    let client = connect_with(&cluster, CLIENT, (profile.opts)());
     let mut a_ok = false;
+    let mut a_aborted = false;
     let mut b_ok = false;
     let mut died = false;
     match txn_a(&client, cluster.p0, cluster.p1) {
@@ -179,11 +255,11 @@ fn run_case(kind: NetFaultKind, at: u64) -> CaseResult {
         // A transport failure the retry policy could not absorb: the
         // client stops mid-protocol, exactly like a crashed process.
         Err(ClientError::Net(_)) => died = true,
-        // A server-side abort (e.g. a lost ship aborted the global
-        // transaction); the client lives on.
-        Err(_) => {}
+        // A server-side abort of the global transaction; the client
+        // lives on.
+        Err(_) => a_aborted = true,
     }
-    if !died && txn_b(&client, cluster.p0).is_ok() {
+    if !died && (profile.txn_b)(&client, cluster.p0, cluster.p1).is_ok() {
         b_ok = true;
     }
     let msgs = plan.msgs();
@@ -214,7 +290,7 @@ fn run_case(kind: NetFaultKind, at: u64) -> CaseResult {
         let pending = s.pending_gtxns();
         assert!(
             pending.is_empty(),
-            "[{label}] shipped updates survived reclamation at {}: {pending:?}",
+            "[{label}] staged updates survived reclamation at {}: {pending:?}",
             s.node()
         );
         let in_doubt = s.in_doubt();
@@ -232,13 +308,15 @@ fn run_case(kind: NetFaultKind, at: u64) -> CaseResult {
     let b_durable = &d0[0..2] == b"bb";
     if a_durable {
         assert!(
-            &d0[0..2] == b"aa" || &d0[0..2] == b"bb",
+            &d0[0..2] == b"aa" || b_durable,
             "[{label}] 2PC atomicity violated: p1 committed, p0 = {:?}",
             &d0[0..2]
         );
     } else {
+        // Without A, p0 is untouched — or carries B alone, which takes a
+        // client that outlived a server-side abort of A.
         assert!(
-            d0[0..2] == [0, 0] || &d0[0..2] == b"bb",
+            d0[0..2] == [0, 0] || (b_durable && a_aborted),
             "[{label}] 2PC atomicity violated: p1 aborted, p0 = {:?}",
             &d0[0..2]
         );
@@ -253,7 +331,8 @@ fn run_case(kind: NetFaultKind, at: u64) -> CaseResult {
     // ---- exactly-once commits ------------------------------------------
     // `commits` counts local commits plus committed 2PC branches, so each
     // server's total is pinned exactly by what is durably on disk: a
-    // duplicated or retried commit that executed twice would overshoot.
+    // duplicated or retried commit that executed twice — one-way decides
+    // and replayed trailers included — would overshoot.
     let snap0 = cluster.servers[0].stats();
     let snap1 = cluster.servers[1].stats();
     assert_eq!(
@@ -269,8 +348,8 @@ fn run_case(kind: NetFaultKind, at: u64) -> CaseResult {
         SRV1
     );
     assert!(
-        snap0.coordinated.get() <= 1,
-        "[{label}] global commit coordinated {} times",
+        snap0.coordinated.get() <= profile.max_coordinated,
+        "[{label}] global commits coordinated {} times",
         snap0.coordinated.get()
     );
 
@@ -286,62 +365,96 @@ fn run_case(kind: NetFaultKind, at: u64) -> CaseResult {
     checker.abort().unwrap();
     checker.disconnect();
 
-    let dedup_hits0 = snap0.dedup_hits.get();
-    let coordinated0 = snap0.coordinated.get();
-    CaseResult { a_ok, b_ok, msgs, fired, dedup_hits0, coordinated0, client_retries, d0, d1 }
+    CaseResult {
+        a_ok,
+        b_ok,
+        msgs,
+        fired,
+        dedup_hits0: snap0.dedup_hits.get(),
+        coordinated0: snap0.coordinated.get(),
+        client_retries,
+        readonly_votes1: snap1.two_pc_readonly_votes.get(),
+        oneway_decides0: snap0.two_pc_oneway_decides.get(),
+        d0,
+        d1,
+    }
 }
 
 /// Fault-free control: the workload commits both transactions, produces
-/// the oracle page images, and pins the message-index layout the targeted
-/// cases below rely on.
-fn control() -> CaseResult {
+/// the oracle page images, pins the message-index layout the targeted
+/// cases below rely on, and proves the 2PC machinery actually ran — a
+/// one-way decide from srv0, and a read-only vote at srv1 exactly when
+/// the profile enrols readers.
+fn control(profile: &Profile) -> CaseResult {
     // Armed far past the workload so the plan counts but never fires (and
     // keeps its from-filter for the whole run).
-    let r = run_case(NetFaultKind::Drop, u64::MAX);
+    let r = run_case(profile, NetFaultKind::Drop, u64::MAX);
     assert_eq!(r.fired, 0);
-    assert!(r.a_ok && r.b_ok, "clean run must commit both transactions");
+    assert!(r.a_ok && r.b_ok, "clean {} run must commit both transactions", profile.name);
     assert_eq!(
-        r.msgs, WORKLOAD_MSGS,
-        "workload message layout changed; update the index table"
+        r.msgs, profile.msgs,
+        "{} workload message layout changed; update the index table",
+        profile.name
     );
     assert_eq!(&r.d0[0..2], b"bb");
     assert_eq!(&r.d1[0..2], b"aa");
+    assert_eq!(
+        r.readonly_votes1,
+        u64::from((profile.opts)().release_read_locks),
+        "srv1 votes read-only once (txn B) iff readers are enrolled"
+    );
+    assert!(r.oneway_decides0 >= 1, "txn A's decide should be a one-way send");
     r
 }
 
 /// Sweeps `kind` over every client message index, comparing survivors
 /// against the oracle.
-fn sweep(kind: NetFaultKind) {
-    let oracle = control();
-    for at in 0..WORKLOAD_MSGS {
-        let r = run_case(kind, at);
-        assert_eq!(r.fired, 1, "{kind:?} at {at} never fired");
+fn sweep(profile: &Profile, kind: NetFaultKind) {
+    let oracle = control(profile);
+    for at in 0..profile.msgs {
+        let r = run_case(profile, kind, at);
+        assert_eq!(r.fired, 1, "{} {kind:?} at {at} never fired", profile.name);
         if r.a_ok && r.b_ok {
             // Both commits observed: the durable image must be exactly the
             // clean run's, whatever the fault did on the way.
-            assert_eq!(r.d0, oracle.d0, "{kind:?} at {at} corrupted p0");
-            assert_eq!(r.d1, oracle.d1, "{kind:?} at {at} corrupted p1");
+            assert_eq!(r.d0, oracle.d0, "{} {kind:?} at {at} corrupted p0", profile.name);
+            assert_eq!(r.d1, oracle.d1, "{} {kind:?} at {at} corrupted p1", profile.name);
         }
     }
 }
 
 #[test]
 fn control_workload_is_clean() {
-    control();
+    control(&DEFAULT);
+}
+
+#[test]
+fn turbo_control_workload_is_clean() {
+    control(&TURBO);
 }
 
 /// The cable-pull sweep: the client is partitioned at every message index
 /// in turn. Fails fast (no timeouts), so the full sweep runs by default.
 #[test]
 fn disconnect_at_every_message_index() {
-    sweep(NetFaultKind::Disconnect);
+    sweep(&DEFAULT, NetFaultKind::Disconnect);
+}
+
+#[test]
+fn turbo_disconnect_at_every_message_index() {
+    sweep(&TURBO, NetFaultKind::Disconnect);
 }
 
 /// The retransmission sweep: every message is delivered twice at every
 /// index in turn. Commits must apply exactly once (request-id dedup).
 #[test]
 fn duplicate_at_every_message_index() {
-    sweep(NetFaultKind::Duplicate);
+    sweep(&DEFAULT, NetFaultKind::Duplicate);
+}
+
+#[test]
+fn turbo_duplicate_at_every_message_index() {
+    sweep(&TURBO, NetFaultKind::Duplicate);
 }
 
 /// A duplicated commit request is answered from the dedup window: the
@@ -350,11 +463,11 @@ fn duplicate_at_every_message_index() {
 fn duplicated_commit_applies_exactly_once() {
     // (`run_case` itself pins the commit counters to the durable state;
     // these cases additionally prove the dedup window was what saved us.)
-    let r = run_case(NetFaultKind::Duplicate, IDX_COMMIT);
+    let r = run_case(&DEFAULT, NetFaultKind::Duplicate, IDX_COMMIT);
     assert!(r.a_ok && r.b_ok);
     assert!(r.dedup_hits0 >= 1, "duplicate commit missed the dedup window");
 
-    let r = run_case(NetFaultKind::Duplicate, IDX_COMMIT_GLOBAL);
+    let r = run_case(&DEFAULT, NetFaultKind::Duplicate, IDX_COMMIT_GLOBAL);
     assert!(r.a_ok && r.b_ok);
     assert_eq!(r.coordinated0, 1);
     assert!(r.dedup_hits0 >= 1, "duplicate global commit missed the dedup window");
@@ -365,16 +478,32 @@ fn duplicated_commit_applies_exactly_once() {
 /// server answers from the dedup window instead of committing twice.
 #[test]
 fn lost_commit_reply_resolves_by_idempotent_retry() {
-    let r = run_case(NetFaultKind::DropReply, IDX_COMMIT);
+    let r = run_case(&DEFAULT, NetFaultKind::DropReply, IDX_COMMIT);
     assert!(r.b_ok, "retried commit should have been acknowledged");
     assert!(r.dedup_hits0 >= 1);
     assert!(r.client_retries >= 1);
 
-    let r = run_case(NetFaultKind::DropReply, IDX_COMMIT_GLOBAL);
+    let r = run_case(&DEFAULT, NetFaultKind::DropReply, IDX_COMMIT_GLOBAL);
     assert!(r.a_ok, "retried global commit should have been acknowledged");
     assert_eq!(r.coordinated0, 1, "reply-dropped global commit ran 2PC twice");
     assert!(r.dedup_hits0 >= 1);
     assert!(r.client_retries >= 1);
+}
+
+/// A duplicated or reply-dropped `CommitGlobal` frame must not re-run its
+/// trailers: the piggybacked `BeginGlobal` and `ReleaseAll` ride the dedup
+/// window with their carrier, so the round commits exactly once.
+#[test]
+fn turbo_duplicated_and_retried_commits_apply_exactly_once() {
+    for idx in [TURBO_IDX_COMMIT_A, TURBO_IDX_COMMIT_B] {
+        let r = run_case(&TURBO, NetFaultKind::Duplicate, idx);
+        assert!(r.a_ok && r.b_ok, "duplicate at {idx} broke the workload");
+        let r = run_case(&TURBO, NetFaultKind::DropReply, idx);
+        assert!(
+            r.a_ok && r.b_ok,
+            "reply-dropped commit at {idx} was not resolved by retry"
+        );
+    }
 }
 
 /// A vanished request is invisible end-to-end: the retry layer absorbs it
@@ -382,7 +511,7 @@ fn lost_commit_reply_resolves_by_idempotent_retry() {
 #[test]
 fn dropped_request_is_absorbed_by_retry_representative() {
     for at in [0, 1, IDX_COMMIT_GLOBAL, IDX_COMMIT] {
-        let r = run_case(NetFaultKind::Drop, at);
+        let r = run_case(&DEFAULT, NetFaultKind::Drop, at);
         assert_eq!(r.fired, 1);
         assert!(r.a_ok && r.b_ok, "Drop at {at} was not absorbed");
         assert!(r.client_retries >= 1);
@@ -392,286 +521,40 @@ fn dropped_request_is_absorbed_by_retry_representative() {
 #[cfg_attr(not(feature = "crash-tests"), ignore)]
 #[test]
 fn drop_at_every_message_index_full() {
-    sweep(NetFaultKind::Drop);
-}
-
-#[cfg_attr(not(feature = "crash-tests"), ignore)]
-#[test]
-fn drop_reply_at_every_message_index_full() {
-    sweep(NetFaultKind::DropReply);
-}
-
-#[cfg_attr(not(feature = "crash-tests"), ignore)]
-#[test]
-fn delay_at_every_message_index_full() {
-    // Shorter than the client's RPC timeout: pure latency, no failure.
-    sweep(NetFaultKind::Delay(Duration::from_millis(50)));
-}
-
-// ---- sublinear-commit opts: presumed commit, batching, piggybacking ---------
-//
-// The same fault matrix, replayed against a client running with every
-// message-saving opt enabled ([`ClientOpts::turbo`]): lazy local begin,
-// deferred lock release as trailers, prefetched global transaction ids,
-// every write branch riding the `CommitGlobal` frame (the coordinator
-// forwards remote branches inside their phase-1 `PrepareItem`s), and
-// read-only participants releasing locks at their phase-1 vote. The wire
-// layout is different — and much shorter — so it gets its own pinned
-// message table.
-//
-// | idx | message                                      | txn |
-// |-----|----------------------------------------------|-----|
-// | 0   | FetchPage p0 (X) → srv0                      | A   |
-// | 1   | FetchPage p1 (X) → srv1                      | A   |
-// | 2   | BeginGlobal → srv0           (pool is empty) | A   |
-// | 3   | CommitGlobal → srv0 [+branches, +prefetch]   | A   |
-// | 4   | FetchPage p0 (X) → srv0     [+ReleaseAll]    | B   |
-// | 5   | FetchPage p1 (S) → srv1     [+ReleaseAll]    | B   |
-// | 6   | CommitGlobal → srv0 [+branches, +prefetch]   | B   |
-//
-// No `BeginTxn`, no standalone `ReleaseAll`, no `ShipUpdates` at all
-// (txn A's remote branch travels inside the `CommitGlobal` frame and is
-// forwarded with srv1's `Prepare`), no second `BeginGlobal` (prefetched
-// by the trailer on message 3), and srv1 — read-only in txn B — votes at
-// phase 1 and is never contacted again.
-const TURBO_WORKLOAD_MSGS: u64 = 7;
-const TURBO_IDX_COMMIT_A: u64 = 3;
-const TURBO_IDX_COMMIT_B: u64 = 6;
-
-fn connect_turbo(cluster: &Cluster, node: NodeId) -> Arc<ClientConn> {
-    let mut cfg = ClientConfig::new(node, SRV0);
-    cfg.caching = false;
-    cfg.rpc_timeout = Duration::from_millis(200);
-    cfg.heartbeat_interval = Duration::from_secs(60);
-    cfg.retry_base = Duration::from_millis(1);
-    cfg.opts = ClientOpts::turbo();
-    ClientConn::connect(&cluster.net, Arc::clone(&cluster.dir), cfg)
-}
-
-/// Turbo transaction A: a two-writer distributed commit (`aa` to both
-/// pages) — exercises the batched phase 1 and the one-way presumed-commit
-/// phase 2 towards srv1.
-fn txn_a_turbo(c: &ClientConn, p0: DbPage, p1: DbPage) -> ClientResult<()> {
-    c.begin()?;
-    c.fetch_page(p0, LockMode::X)?;
-    c.fetch_page(p1, LockMode::X)?;
-    c.commit(vec![upd(p0, &[0; 2], b"aa"), upd(p1, &[0; 2], b"aa")])
-}
-
-/// Turbo transaction B: reads p1, writes p0 — srv1 is enrolled as a
-/// read-only participant, votes `VoteReadOnly`, releases the client's
-/// locks at phase 1, and drops out of phase 2.
-fn txn_b_turbo(c: &ClientConn, p0: DbPage, p1: DbPage) -> ClientResult<()> {
-    c.begin()?;
-    c.fetch_page(p0, LockMode::X)?;
-    c.fetch_page(p1, LockMode::S)?;
-    c.commit(vec![upd(p0, b"aa", b"bb")])
-}
-
-struct TurboCaseResult {
-    a_ok: bool,
-    b_ok: bool,
-    msgs: u64,
-    fired: u64,
-    readonly_votes1: u64,
-    oneway_decides0: u64,
-    d0: Vec<u8>,
-    d1: Vec<u8>,
-}
-
-/// The turbo twin of [`run_case`]: same fault injection, same kill, same
-/// containment invariants, different (shorter) wire conversation.
-fn run_case_turbo(kind: NetFaultKind, at: u64) -> TurboCaseResult {
-    let cluster = build();
-    let label = format!("turbo {kind:?} at client message {at}");
-    let plan = NetFaultPlan::armed_from(CLIENT, at, kind);
-    cluster.net.arm(Arc::clone(&plan));
-
-    let client = connect_turbo(&cluster, CLIENT);
-    let mut a_ok = false;
-    let mut b_ok = false;
-    let mut died = false;
-    match txn_a_turbo(&client, cluster.p0, cluster.p1) {
-        Ok(()) => a_ok = true,
-        Err(ClientError::Net(_)) => died = true,
-        Err(_) => {}
-    }
-    if !died && txn_b_turbo(&client, cluster.p0, cluster.p1).is_ok() {
-        b_ok = true;
-    }
-    let msgs = plan.msgs();
-    let fired = plan.fired();
-
-    cluster.net.partition(CLIENT);
-    client.disconnect();
-    for s in &cluster.servers {
-        s.expire_lease(CLIENT);
-    }
-
-    for s in &cluster.servers {
-        assert!(!s.has_lease(CLIENT), "[{label}] dead client still leased at {}", s.node());
-        let leaked = s.locks_held_by(CLIENT);
-        assert!(
-            leaked.is_empty(),
-            "[{label}] dead client leaked locks at {}: {leaked:?}",
-            s.node()
-        );
-        let pending = s.pending_gtxns();
-        assert!(
-            pending.is_empty(),
-            "[{label}] shipped updates survived reclamation at {}: {pending:?}",
-            s.node()
-        );
-        let in_doubt = s.in_doubt();
-        assert!(
-            in_doubt.is_empty(),
-            "[{label}] unresolved prepared branches at {}: {in_doubt:?}",
-            s.node()
-        );
-    }
-
-    let d0 = read_page_bytes(&cluster.servers[0], cluster.p0);
-    let d1 = read_page_bytes(&cluster.servers[1], cluster.p1);
-    let a_durable = &d1[0..2] == b"aa";
-    if a_durable {
-        assert!(
-            &d0[0..2] == b"aa" || &d0[0..2] == b"bb",
-            "[{label}] 2PC atomicity violated: p1 committed, p0 = {:?}",
-            &d0[0..2]
-        );
-    } else {
-        assert!(
-            d0[0..2] == [0, 0],
-            "[{label}] 2PC atomicity violated: p1 aborted, p0 = {:?}",
-            &d0[0..2]
-        );
-    }
-    if a_ok {
-        assert!(a_durable, "[{label}] client saw global commit, updates lost");
-    }
-    if b_ok {
-        assert!(&d0[0..2] == b"bb", "[{label}] client saw commit B, update lost");
-    }
-
-    // Exactly-once, even with one-way decides and replayed trailers: each
-    // server's commit count is pinned by what is durably on disk.
-    let b_durable = &d0[0..2] == b"bb";
-    let snap0 = cluster.servers[0].stats();
-    let snap1 = cluster.servers[1].stats();
-    assert_eq!(
-        snap0.commits.get(),
-        u64::from(a_durable) + u64::from(b_durable),
-        "[{label}] commit applied more than once at {}",
-        SRV0
-    );
-    assert_eq!(
-        snap1.commits.get(),
-        u64::from(a_durable),
-        "[{label}] commit applied more than once at {}",
-        SRV1
-    );
-
-    let checker = connect(&cluster, CHECKER);
-    checker.begin().unwrap();
-    checker
-        .fetch_page(cluster.p0, LockMode::X)
-        .unwrap_or_else(|e| panic!("[{label}] ghost lock on p0: {e}"));
-    checker
-        .fetch_page(cluster.p1, LockMode::X)
-        .unwrap_or_else(|e| panic!("[{label}] ghost lock on p1: {e}"));
-    checker.abort().unwrap();
-    checker.disconnect();
-
-    TurboCaseResult {
-        a_ok,
-        b_ok,
-        msgs,
-        fired,
-        readonly_votes1: snap1.two_pc_readonly_votes.get(),
-        oneway_decides0: snap0.two_pc_oneway_decides.get(),
-        d0,
-        d1,
-    }
-}
-
-/// Fault-free turbo control: pins the opt-in message layout (8 messages
-/// against the default path's 13) and proves the new machinery actually
-/// ran — a read-only vote at srv1, a one-way decide from srv0.
-fn control_turbo() -> TurboCaseResult {
-    let r = run_case_turbo(NetFaultKind::Drop, u64::MAX);
-    assert_eq!(r.fired, 0);
-    assert!(r.a_ok && r.b_ok, "clean turbo run must commit both transactions");
-    assert_eq!(
-        r.msgs, TURBO_WORKLOAD_MSGS,
-        "turbo workload message layout changed; update the index table"
-    );
-    assert_eq!(&r.d0[0..2], b"bb");
-    assert_eq!(&r.d1[0..2], b"aa");
-    assert_eq!(r.readonly_votes1, 1, "srv1 should vote read-only once (txn B), got {}", r.readonly_votes1);
-    assert!(r.oneway_decides0 >= 1, "txn A's decide should be a one-way send");
-    r
-}
-
-/// Sweeps `kind` over every turbo client message index.
-fn sweep_turbo(kind: NetFaultKind) {
-    let oracle = control_turbo();
-    for at in 0..TURBO_WORKLOAD_MSGS {
-        let r = run_case_turbo(kind, at);
-        assert_eq!(r.fired, 1, "turbo {kind:?} at {at} never fired");
-        if r.a_ok && r.b_ok {
-            assert_eq!(r.d0, oracle.d0, "turbo {kind:?} at {at} corrupted p0");
-            assert_eq!(r.d1, oracle.d1, "turbo {kind:?} at {at} corrupted p1");
-        }
-    }
-}
-
-#[test]
-fn turbo_control_workload_is_clean() {
-    control_turbo();
-}
-
-#[test]
-fn turbo_disconnect_at_every_message_index() {
-    sweep_turbo(NetFaultKind::Disconnect);
-}
-
-#[test]
-fn turbo_duplicate_at_every_message_index() {
-    sweep_turbo(NetFaultKind::Duplicate);
-}
-
-/// A duplicated or reply-dropped `CommitGlobal` frame must not re-run its
-/// trailers: the piggybacked `ShipUpdates` and `BeginGlobal` ride the
-/// dedup window with their carrier, so the round commits exactly once.
-#[test]
-fn turbo_duplicated_and_retried_commits_apply_exactly_once() {
-    for idx in [TURBO_IDX_COMMIT_A, TURBO_IDX_COMMIT_B] {
-        let r = run_case_turbo(NetFaultKind::Duplicate, idx);
-        assert!(r.a_ok && r.b_ok, "duplicate at {idx} broke the workload");
-        let r = run_case_turbo(NetFaultKind::DropReply, idx);
-        assert!(
-            r.a_ok && r.b_ok,
-            "reply-dropped commit at {idx} was not resolved by retry"
-        );
-    }
+    sweep(&DEFAULT, NetFaultKind::Drop);
 }
 
 #[cfg_attr(not(feature = "crash-tests"), ignore)]
 #[test]
 fn turbo_drop_at_every_message_index_full() {
-    sweep_turbo(NetFaultKind::Drop);
+    sweep(&TURBO, NetFaultKind::Drop);
+}
+
+#[cfg_attr(not(feature = "crash-tests"), ignore)]
+#[test]
+fn drop_reply_at_every_message_index_full() {
+    sweep(&DEFAULT, NetFaultKind::DropReply);
 }
 
 #[cfg_attr(not(feature = "crash-tests"), ignore)]
 #[test]
 fn turbo_drop_reply_at_every_message_index_full() {
-    sweep_turbo(NetFaultKind::DropReply);
+    sweep(&TURBO, NetFaultKind::DropReply);
+}
+
+// Shorter than the client's RPC timeout: pure latency, no failure.
+const SHORT_DELAY: NetFaultKind = NetFaultKind::Delay(Duration::from_millis(50));
+
+#[cfg_attr(not(feature = "crash-tests"), ignore)]
+#[test]
+fn delay_at_every_message_index_full() {
+    sweep(&DEFAULT, SHORT_DELAY);
 }
 
 #[cfg_attr(not(feature = "crash-tests"), ignore)]
 #[test]
 fn turbo_delay_at_every_message_index_full() {
-    sweep_turbo(NetFaultKind::Delay(Duration::from_millis(50)));
+    sweep(&TURBO, SHORT_DELAY);
 }
 
 // ---- presumed commit: the one-way decide can vanish -------------------------
@@ -688,8 +571,8 @@ fn dropped_oneway_decide_resolves_via_decision_query() {
     let plan = NetFaultPlan::armed_from(SRV0, 1, NetFaultKind::Drop);
     cluster.net.arm(Arc::clone(&plan));
 
-    let client = connect_turbo(&cluster, CLIENT);
-    txn_a_turbo(&client, cluster.p0, cluster.p1).expect("commit must succeed");
+    let client = connect_with(&cluster, CLIENT, ClientOpts::turbo());
+    txn_a(&client, cluster.p0, cluster.p1).expect("commit must succeed");
     assert_eq!(plan.fired(), 1, "the decide send was not faulted");
 
     // The client was told "committed" (the coordinator's decision is
@@ -897,40 +780,31 @@ fn read_only_server_serves_reads_and_refuses_writes() {
 /// coordinator about a dead client's prepared branch *while the coordinator
 /// is still collecting phase-1 votes*. The coordinator must answer
 /// `DecisionPending` — not `Unknown` — so the branch stays prepared and
-/// commits when the round's `Decide` arrives. Reading the mid-round silence
+/// commits when the round's `DecideBatch` arrives. Reading the mid-round silence
 /// as "no record" would abort and undo a branch every other node commits.
 #[test]
 fn prepared_branch_survives_reaper_while_coordinator_round_runs() {
     const STALL: NodeId = NodeId(102);
-    const DRIVER: NodeId = NodeId(3);
+    const OBSERVER: NodeId = NodeId(3);
     let cluster = build(); // coordinator_grace is zero: reaper queries immediately
     let t = Duration::from_secs(5);
     let gtxn = (u64::from(SRV0.0) << 32) | 7;
     let p1 = cluster.p1;
 
     // A third participant that votes yes only after a long think, pinning
-    // the coordinator's round mid-phase-1 for a deterministic window. It
-    // must answer both the batched phase-1 form (the default) and the
-    // legacy singleton, and survive the one-way presumed-commit decide.
+    // the coordinator's round mid-phase-1 for a deterministic window, and
+    // leaves once the one-way presumed-commit decide arrives.
     let stall_ep = cluster.net.register(STALL);
     let stall = std::thread::spawn(move || loop {
         let Ok(env) = stall_ep.recv(Duration::from_secs(5)) else {
             return;
         };
         match &env.msg {
-            Msg::Prepare { .. } => {
-                std::thread::sleep(Duration::from_millis(400));
-                env.reply(Msg::VoteYes);
-            }
             Msg::PrepareBatch { items } => {
                 let votes: Vec<(u64, Vote)> =
                     items.iter().map(|i| (i.gtxn, Vote::Yes)).collect();
                 std::thread::sleep(Duration::from_millis(400));
                 env.reply(Msg::VoteBatch { votes });
-            }
-            Msg::Decide { .. } => {
-                env.reply(Msg::Ok);
-                return;
             }
             Msg::DecideBatch { .. } => {
                 return;
@@ -939,23 +813,12 @@ fn prepared_branch_survives_reaper_while_coordinator_round_runs() {
         }
     });
 
-    // The doomed client ships srv1's branch, then "crashes".
-    let cl = cluster.net.register(CLIENT);
-    assert_eq!(
-        cl.call(
-            SRV1,
-            Msg::ShipUpdates { gtxn, updates: vec![upd(p1, &[0; 2], b"zz")] },
-            t
-        )
-        .unwrap(),
-        Msg::Ok
-    );
-
-    // The round runs from a separate driver; srv1 prepares first (votes
+    // The doomed client sends the round — srv1's branch rides the commit
+    // frame — and "crashes" while it runs; srv1 prepares at once (votes
     // yes), then the stalled participant holds phase 1 open.
     let driver_net = Arc::clone(&cluster.net);
     let driver = std::thread::spawn(move || {
-        let ep = driver_net.register(DRIVER);
+        let ep = driver_net.register(CLIENT);
         ep.call(
             SRV0,
             Msg::CommitGlobal {
@@ -963,12 +826,13 @@ fn prepared_branch_survives_reaper_while_coordinator_round_runs() {
                 participants: vec![SRV1.0, STALL.0],
                 req: 0,
                 release_read_locks: false,
-                branches: vec![],
+                branches: vec![(SRV1.0, vec![upd(p1, &[0; 2], b"zz")])],
             },
             t,
         )
         .unwrap()
     });
+    let cl = cluster.net.register(OBSERVER);
 
     // Mid-round: srv1 is prepared, the coordinator has no decision yet.
     std::thread::sleep(Duration::from_millis(100));
@@ -978,7 +842,7 @@ fn prepared_branch_survives_reaper_while_coordinator_round_runs() {
         "mid-round query must report the round as in progress"
     );
 
-    // The shipping client dies; srv1's reaper resolves its prepared branch
+    // The committing client dies; srv1's reaper resolves its prepared branch
     // right now (zero grace). It must be told "retry later", not abort.
     cluster.servers[1].expire_lease(CLIENT);
     assert_eq!(
