@@ -500,7 +500,13 @@ fn e8_hit_rates(report: &mut JsonReport) {
 // ---------------------------------------------------------------------------
 fn e9_callback(report: &mut JsonReport) {
     // Full sessions: inter-transaction caching covers data (pool) AND
-    // locks (lock cache); callbacks keep both consistent (§3).
+    // locks (lock cache); callbacks keep both consistent (§3). The
+    // shared-hot-object caching figure recorded in BENCH_report.json at
+    // commit f445557 — the loss ROADMAP item 5 lists — stays pinned here: a
+    // session's data cache is its private pool, which the page images of
+    // `ClientConn` go around, so this experiment must not get *worse* and
+    // whoever closes the loss shows it against this number.
+    const SHARED_CACHING_RECORDED: f64 = 23.4;
     println!("## E9 — callback locking: messages per transaction (100 txns, 8 object reads + 1 write)\n");
     println!("| sharing | client mode | messages/txn | callbacks | server locks granted |");
     println!("|---|---|---|---|---|");
@@ -609,9 +615,20 @@ fn e9_callback(report: &mut JsonReport) {
                 ),
                 messages as f64 / TXNS as f64,
             );
+            if shared_writer && caching {
+                let per_txn = messages as f64 / TXNS as f64;
+                assert!(
+                    per_txn <= SHARED_CACHING_RECORDED,
+                    "E9 gate: shared hot object under callback caching costs {per_txn:.1} \
+                     msgs/txn, recorded baseline {SHARED_CACHING_RECORDED:.1}"
+                );
+            }
         }
     }
-    println!();
+    println!(
+        "\nRecorded baseline for shared hot object / callback caching: \
+         {SHARED_CACHING_RECORDED:.1} msgs/txn (gated: not above it).\n"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -677,10 +694,15 @@ fn e17_deadlock_policy(report: &mut JsonReport) {
 // E10 — two-phase commit across servers.
 // ---------------------------------------------------------------------------
 fn e10_two_pc(report: &mut JsonReport) {
+    // Recorded in BENCH_report.json at commit f445557, when the caching
+    // client kept its X locks between transactions but re-read every page
+    // it had the lock for. With the page image on the cached lock that
+    // `ReadPage` round trip per server is gone.
+    const LOCKS_ONLY_RECORDED: [f64; 4] = [6.0, 11.1, 16.1, 21.1];
     println!("## E10 — distributed commit: cost vs participating servers (30us wire latency)\n");
-    println!("| servers | messages/commit | wall time/commit |");
-    println!("|---|---|---|");
-    for &n_servers in &[1usize, 2, 3, 4] {
+    println!("| servers | recorded msgs/commit (locks cached, data re-read) | messages/commit | wall time/commit |");
+    println!("|---|---|---|---|");
+    for (n_servers, base) in (1usize..).zip(LOCKS_ONLY_RECORDED) {
         let area_lists: Vec<Vec<u32>> = (0..n_servers).map(|i| vec![i as u32]).collect();
         let refs: Vec<&[u32]> = area_lists.iter().map(|v| v.as_slice()).collect();
         let world = World::new(&refs, Duration::from_micros(30));
@@ -712,9 +734,11 @@ fn e10_two_pc(report: &mut JsonReport) {
         let wall = t0.elapsed() / TXNS as u32;
         let d = wreg.snapshot().delta(&before);
         let messages = d.counter("net.sends") + 2 * d.counter("net.calls");
-        println!(
-            "| {n_servers} | {:.1} | {wall:?} |",
-            messages as f64 / TXNS as f64
+        let per_commit = messages as f64 / TXNS as f64;
+        println!("| {n_servers} | {base:.1} | {per_commit:.1} | {wall:?} |");
+        assert!(
+            per_commit < base,
+            "E10 gate: {per_commit:.1} msgs/commit at {n_servers} servers, recorded baseline {base:.1}"
         );
         report.num(
             "E10",

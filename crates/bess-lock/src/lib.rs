@@ -6,9 +6,10 @@
 //! * [`LockManager`] — strict two-phase locking over hierarchical modes
 //!   (IS/IX/S/SIX/X) with FIFO queues, in-place upgrades and **timeout
 //!   based deadlock detection**, exactly the paper's policy;
-//! * [`LockCache`] — the per-client cache of data *locks* retained between
+//! * [`LockCache`] — the per-client cache of *locks* retained between
 //!   transactions, with the **callback locking** responses (release /
-//!   defer) the servers drive cache consistency with.
+//!   defer) the servers drive cache consistency with, and the page images
+//!   ("data") those locks keep valid.
 //!
 //! ```
 //! use std::time::Duration;
@@ -31,7 +32,9 @@ mod mode;
 mod name;
 pub mod order;
 
-pub use cache::{CacheDecision, CacheStats, CallbackResponse, LockCache};
+pub use cache::{
+    CacheDecision, CacheStats, CallbackResponse, ImageStats, LockCache, IMAGE_CAPACITY,
+};
 pub use order::{OrderedMutex, OrderedRwLock, Rank};
 pub use manager::{DeadlockPolicy, LockError, LockManager, LockResult, LockStats};
 pub use mode::LockMode;

@@ -2,11 +2,24 @@
 //!
 //! A [`ClientConn`] is one application machine's attachment to the BeSS
 //! world. It speaks the [`Msg`] protocol to whichever server owns the data
-//! (per the [`Directory`]), caches locks between transactions when
-//! `caching` is on (the §3 inter-transaction caching that callback locking
-//! makes consistent), answers server callbacks from a listener thread, and
-//! keeps a local *overlay* of dirty pages so uncommitted state never
-//! reaches a server before commit.
+//! (per the [`Directory`]), caches locks *and the page images they
+//! protect* between transactions when `caching` is on (the §3
+//! inter-transaction caching that callback locking makes consistent),
+//! answers server callbacks from a listener thread, and keeps a local
+//! *overlay* of dirty pages so uncommitted state never reaches a server
+//! before commit.
+//!
+//! ## Page images
+//!
+//! A page image hangs on the cached lock that keeps it valid (see
+//! [`bess_lock::LockCache`]): [`ClientConn::fetch_page`] and
+//! [`ClientConn::read_page`] return a copy with no message at all when the
+//! page lock is cached in a mode that covers `S`, and whatever drops or
+//! revokes the lock drops the image in the same step. The connection's own
+//! acknowledged commit patches the images of the pages it wrote; a failed
+//! or unanswered commit drops them. Non-caching and gateway connections
+//! hold no images, and [`RemoteIo`] goes around them: the session's private
+//! pool is that client's data cache, and one stack needs one.
 //!
 //! It also implements [`PageIo`] (cache fills / write-backs for the
 //! client's buffer pools) and [`DiskSpace`] (disk allocation and raw byte
@@ -21,13 +34,15 @@ use std::time::{Duration, Instant};
 
 use bess_cache::{DbPage, PageIo};
 use bess_obs::{Counter, Group, LatencyHistogram, Registry};
-use bess_lock::{CacheDecision, CallbackResponse, LockCache, LockMode, LockName, TxnId};
+use bess_lock::{
+    CacheDecision, CallbackResponse, ImageStats, LockCache, LockMode, LockName, TxnId,
+};
 use bess_net::{Caller, NetError, Network, NodeId};
 use bess_storage::{AreaId, DiskPtr, DiskSpace, StorageError, StorageResult};
 use parking_lot::{Mutex, RwLock};
 
 use crate::directory::Directory;
-use crate::proto::{Msg, PageUpdate};
+use crate::proto::{Msg, PageUpdate, LEASE_LOST};
 
 /// Hook invoked when a callback releases a cached lock.
 pub type PurgeHook = Arc<dyn Fn(LockName) + Send + Sync>;
@@ -189,6 +204,9 @@ pub struct ClientStats {
     pub retries: Counter,
     /// Heartbeats sent (`client.heartbeats`).
     pub heartbeats: Counter,
+    /// Times a server reported this connection's lease lost and every
+    /// cached lock and image was dropped (`client.leases_lost`).
+    pub leases_lost: Counter,
 }
 
 impl ClientStats {
@@ -204,6 +222,7 @@ impl ClientStats {
             callbacks: group.counter("callbacks"),
             retries: group.counter("retries"),
             heartbeats: group.counter("heartbeats"),
+            leases_lost: group.counter("leases_lost"),
         }
     }
 }
@@ -257,6 +276,15 @@ pub struct ClientConn {
     /// a standalone heartbeat when real traffic already renewed the lease
     /// within the heartbeat interval.
     last_sent: Mutex<HashMap<u32, Instant>>,
+    /// The lease id each server last stamped a reply with (see
+    /// [`Msg::Leased`]). The locks and images this connection keeps
+    /// between transactions are only as good as these leases.
+    leases: Mutex<HashMap<NodeId, u64>>,
+    /// The transaction (0: none) that was open when a lease was found
+    /// lost: it may have read images that were no longer valid, so it
+    /// cannot commit.
+    // LINT: allow(raw-counter) — a transaction id, not a metric
+    doomed_txn: AtomicU64,
     running: Arc<AtomicBool>,
     listener: Mutex<Option<JoinHandle<()>>>,
     group: Group,
@@ -308,6 +336,14 @@ fn backoff_delay(base: Duration, attempt: u32, node: u32) -> Duration {
     capped + Duration::from_micros(jitter_us)
 }
 
+/// The name of `page`'s page lock.
+fn page_lock(page: DbPage) -> LockName {
+    LockName::Page {
+        area: page.area,
+        page: page.page,
+    }
+}
+
 impl ClientConn {
     /// Connects to the network and starts the callback listener.
     pub fn connect(
@@ -321,7 +357,9 @@ impl ClientConn {
             caller: net.caller(cfg.node),
             cfg,
             dir,
-            lock_cache: Arc::new(LockCache::new()),
+            lock_cache: Arc::new(LockCache::with_image_stats(ImageStats::new(
+                &group.sub("page_cache"),
+            ))),
             overlay: Mutex::new(HashMap::new()),
             current_txn: Mutex::new(None),
             servers_touched: Mutex::new(HashSet::new()),
@@ -336,6 +374,8 @@ impl ClientConn {
             pending_releases: Mutex::new(HashMap::new()),
             released_by_vote: Mutex::new(HashSet::new()),
             last_sent: Mutex::new(HashMap::new()),
+            leases: Mutex::new(HashMap::new()),
+            doomed_txn: AtomicU64::new(0),
             running: Arc::new(AtomicBool::new(true)),
             listener: Mutex::new(None),
             stats: ClientStats::new(&group),
@@ -354,7 +394,7 @@ impl ClientConn {
             while running.load(Ordering::Relaxed) {
                 match endpoint.recv(Duration::from_millis(50)) {
                     Ok(env) => {
-                        let reply = listener_conn.handle_callback(&env.msg);
+                        let reply = listener_conn.handle_callback(env.from, &env.msg);
                         env.reply(reply);
                     }
                     Err(NetError::Timeout) => {
@@ -416,36 +456,42 @@ impl ClientConn {
         *self.read_mode.lock()
     }
 
-    fn handle_callback(&self, msg: &Msg) -> Msg {
+    fn handle_callback(&self, from: NodeId, msg: &Msg) -> Msg {
         match msg {
+            // The server's answer to a heartbeat stamped with a lease it
+            // no longer has (a heartbeat is one-way: there is no reply for
+            // the news to ride on).
+            Msg::Leased { lease, .. } => {
+                self.note_lease(from, *lease);
+                Msg::Ok
+            }
             Msg::Callback { name } => {
                 self.stats.callbacks.inc();
+                // Another client is about to change something on this
+                // page under an object or segment lock.
+                if let LockName::Object { area, page, .. } | LockName::Segment { area, page } =
+                    *name
+                {
+                    self.lock_cache.drop_image(LockName::Page { area, page });
+                }
+                if self.defer_if_pending(*name) {
+                    return Msg::CallbackDeferred;
+                }
                 match self.lock_cache.callback(*name) {
-                    CallbackResponse::Released => {
+                    CallbackResponse::Released | CallbackResponse::NotCached => {
                         if let Some(hook) = self.purge_hook.read().clone() {
                             hook(*name);
                         }
                         Msg::CallbackReleased
-                    }
-                    CallbackResponse::NotCached => {
-                        // The grant may be in flight: defer until the
-                        // request completes and the lock lands in the
-                        // cache.
-                        if self.pending_locks.lock().contains(name) {
-                            self.raced_callbacks.lock().insert(*name);
-                            Msg::CallbackDeferred
-                        } else {
-                            if let Some(hook) = self.purge_hook.read().clone() {
-                                hook(*name);
-                            }
-                            Msg::CallbackReleased
-                        }
                     }
                     CallbackResponse::Deferred => Msg::CallbackDeferred,
                 }
             }
             Msg::CallbackDowngrade { name, to } => {
                 self.stats.callbacks.inc();
+                if self.defer_if_pending(*name) {
+                    return Msg::CallbackDeferred;
+                }
                 if self.lock_cache.callback_downgrade(*name, *to) {
                     // The page content stays valid for reading; no purge.
                     Msg::CallbackReleased
@@ -455,6 +501,27 @@ impl ClientConn {
             }
             other => Msg::Err(format!("client got unexpected message: {other:?}")),
         }
+    }
+
+    /// Defers a callback that races this connection's own in-flight
+    /// request for `name`, whatever the cache holds right now. The server
+    /// may have granted that request an instant ago — and it releases the
+    /// holder's lock *by name* when a callback is answered "released", so
+    /// giving up an idle weaker lock here (an S under our own X upgrade)
+    /// would wipe the grant that is on its way to us, and two clients would
+    /// both believe they hold X. The lock is released when the transaction
+    /// that asked for it ends.
+    fn defer_if_pending(&self, name: LockName) -> bool {
+        // `finish_pending` removes the name under this guard, so it either
+        // sees the race recorded or the callback sees the request finished.
+        let pending = self.pending_locks.lock();
+        if !pending.contains(&name) {
+            return false;
+        }
+        self.raced_callbacks.lock().insert(name);
+        drop(pending);
+        self.lock_cache.mark_callback_pending(name);
+        true
     }
 
     /// Completes an in-flight lock request: if a callback raced it, mark
@@ -504,7 +571,7 @@ impl ClientConn {
                 self.caller.stats().heartbeats_suppressed.inc();
                 continue;
             }
-            if self.caller.send(t, Msg::Heartbeat).is_ok() {
+            if self.caller.send(t, self.stamp(t, Msg::Heartbeat)).is_ok() {
                 self.note_sent(t);
                 self.stats.heartbeats.inc();
             }
@@ -551,9 +618,17 @@ impl ClientConn {
         trailers
     }
 
-    /// Absorbs a reply's trailers (gtxn-pool refills), returning the
+    /// Absorbs what rides on a reply from `from` besides the answer — a
+    /// new lease id, trailers (gtxn-pool refills) — and returns the
     /// carrier reply.
-    fn absorb_reply(&self, reply: Msg) -> Msg {
+    fn absorb_reply(&self, from: NodeId, reply: Msg) -> Msg {
+        let reply = match reply {
+            Msg::Leased { lease, msg } => {
+                self.note_lease(from, lease);
+                *msg
+            }
+            m => m,
+        };
         match reply {
             Msg::WithTrailers { msg, trailers } => {
                 self.caller.stats().trailers.add(trailers.len() as u64);
@@ -565,6 +640,48 @@ impl ClientConn {
                 *msg
             }
             m => m,
+        }
+    }
+
+    /// Stamps `msg` with the lease this connection believes it holds at
+    /// `to` (see [`Msg::Leased`]). What is kept between transactions is
+    /// only valid under the lease it was granted under, so only a
+    /// connection that keeps anything stamps.
+    fn stamp(&self, to: NodeId, msg: Msg) -> Msg {
+        if !self.effective_caching() {
+            return msg;
+        }
+        Msg::Leased {
+            lease: self.leases.lock().get(&to).copied().unwrap_or(0),
+            msg: Box::new(msg),
+        }
+    }
+
+    /// Records that `server` now knows this connection under `lease`. If
+    /// that replaces another lease, every grant under the old one is gone.
+    fn note_lease(&self, server: NodeId, lease: u64) {
+        let known = self.leases.lock().insert(server, lease);
+        if known.is_some_and(|k| k != lease) {
+            self.forget_grants();
+        }
+    }
+
+    /// A server dropped this connection's grants without a callback (its
+    /// lease ran out, or the server restarted): nothing kept between
+    /// transactions can be trusted, so every cached lock goes, and with it
+    /// its image and the owning pool's copy of the page. Locks of other
+    /// servers go too — they are re-requested on next use, and a callback
+    /// for one of them is answered "released".
+    fn forget_grants(&self) {
+        self.stats.leases_lost.inc();
+        if let Some(txn) = self.current_txn() {
+            self.doomed_txn.store(txn, Ordering::SeqCst);
+        }
+        let hook = self.purge_hook.read().clone();
+        for name in self.lock_cache.clear() {
+            if let Some(hook) = &hook {
+                hook(name);
+            }
         }
     }
 
@@ -602,9 +719,23 @@ impl ClientConn {
         let msg = Msg::with_trailers(msg, trailers);
         self.note_sent(to);
         let mut attempt = 0u32;
+        let mut asked_again = false;
         loop {
-            match self.caller.call(to, msg.clone(), self.cfg.rpc_timeout) {
-                Ok(reply) => return Ok(self.absorb_reply(reply)),
+            match self.caller.call(to, self.stamp(to, msg.clone()), self.cfg.rpc_timeout) {
+                Ok(reply) => {
+                    let reply = self.absorb_reply(to, reply);
+                    // Refused unexecuted: the stamp named a lease the
+                    // server no longer has. Outside a transaction nothing
+                    // was read under it, so ask again (once) under the new
+                    // one; inside one, the refusal is the answer and the
+                    // transaction will not commit.
+                    let refused = matches!(&reply, Msg::Err(e) if e == LEASE_LOST);
+                    if refused && !asked_again && self.current_txn().is_none() {
+                        asked_again = true;
+                        continue;
+                    }
+                    return Ok(reply);
+                }
                 Err(e) if retryable && e.is_transient() && attempt < self.cfg.max_retries => {
                     attempt += 1;
                     self.stats.retries.inc();
@@ -679,29 +810,42 @@ impl ClientConn {
     }
 
     /// Fetches a page under `mode`, combining lock acquisition and data
-    /// transfer in one message on a lock-cache miss.
+    /// transfer in one message on a lock-cache miss. When the lock cache
+    /// holds the page in a mode that covers `S` together with its image,
+    /// no message is sent at all.
     pub fn fetch_page(&self, page: DbPage, mode: LockMode) -> ClientResult<Vec<u8>> {
+        self.fetch_inner(page, mode, self.effective_caching())
+    }
+
+    /// [`Self::fetch_page`]; `images` says whether page images are served
+    /// and kept (never for [`RemoteIo`]).
+    fn fetch_inner(&self, page: DbPage, mode: LockMode, images: bool) -> ClientResult<Vec<u8>> {
         let txn = self.current_txn().ok_or(ClientError::NoTxn)?;
         // Uncommitted local state shadows the server.
         if let Some(data) = self.overlay.lock().get(&page) {
             let data = data.clone();
-            self.lock(
-                LockName::Page {
-                    area: page.area,
-                    page: page.page,
-                },
-                mode,
-            )?;
+            self.lock(page_lock(page), mode)?;
             return Ok(data);
         }
-        let name = LockName::Page {
-            area: page.area,
-            page: page.page,
+        let name = page_lock(page);
+        let (decision, image) = if images {
+            self.lock_cache.acquire_image(TxnId(txn), name, mode)
+        } else {
+            (self.lock_cache.acquire(TxnId(txn), name, mode), None)
         };
-        match self.lock_cache.acquire(TxnId(txn), name, mode) {
+        match decision {
             CacheDecision::Hit => {
                 self.stats.lock_cache_hits.inc();
-                self.read_page(page)
+                if let Some(data) = image {
+                    return Ok(data);
+                }
+                let data = self.read_page_rpc(page)?;
+                if images {
+                    // This transaction is a user of the lock, so no
+                    // callback released it while the read was in flight.
+                    self.lock_cache.put_image(name, &data);
+                }
+                Ok(data)
             }
             CacheDecision::Miss { need } => {
                 self.stats.fetch_rpcs.inc();
@@ -711,6 +855,9 @@ impl ClientConn {
                 let out = match reply {
                     Ok(Msg::PageData(data)) => {
                         self.lock_cache.grant(TxnId(txn), name, need);
+                        if images {
+                            self.lock_cache.put_image(name, &data);
+                        }
                         Ok(data)
                     }
                     Ok(Msg::Denied(m)) => Err(ClientError::Denied(m)),
@@ -724,11 +871,26 @@ impl ClientConn {
         }
     }
 
-    /// Reads a page without locking (the lock is already held/cached).
+    /// Reads a page without locking (the lock is already held/cached);
+    /// served from the page's image when the cached lock has one.
     pub fn read_page(&self, page: DbPage) -> ClientResult<Vec<u8>> {
+        self.read_inner(page, self.effective_caching())
+    }
+
+    /// [`Self::read_page`]; `images` as for [`Self::fetch_inner`].
+    fn read_inner(&self, page: DbPage, images: bool) -> ClientResult<Vec<u8>> {
         if let Some(data) = self.overlay.lock().get(&page) {
             return Ok(data.clone());
         }
+        if images {
+            if let Some(data) = self.lock_cache.image(page_lock(page)) {
+                return Ok(data);
+            }
+        }
+        self.read_page_rpc(page)
+    }
+
+    fn read_page_rpc(&self, page: DbPage) -> ClientResult<Vec<u8>> {
         self.stats.read_rpcs.inc();
         let owner = self.owner_of(page.area)?;
         match self.rpc(owner, Msg::ReadPage { page })? {
@@ -743,9 +905,24 @@ impl ClientConn {
     /// through the home server (§3).
     pub fn commit(&self, updates: Vec<PageUpdate>) -> ClientResult<()> {
         let txn = self.current_txn().ok_or(ClientError::NoTxn)?;
+        if self.doomed_txn.load(Ordering::SeqCst) == txn {
+            self.stats.commit_failures.inc();
+            self.abort()?;
+            return Err(ClientError::Server(LEASE_LOST.into()));
+        }
         // Times the whole commit conversation — single-server fast path or
         // 2PC round — as the client observes it, retries included.
         let _timer = self.commit_rtt_ns.start();
+        // What this commit does to the pages, for the images of them this
+        // connection may hold (`updates` itself goes out with the message).
+        let patches: Vec<(LockName, usize, Vec<u8>)> = if self.effective_caching() {
+            updates
+                .iter()
+                .map(|u| (page_lock(u.page), u.offset as usize, u.after.clone()))
+                .collect()
+        } else {
+            Vec::new()
+        };
         let mut by_owner: HashMap<NodeId, Vec<PageUpdate>> = HashMap::new();
         for u in updates {
             by_owner.entry(self.owner_of(u.page.area)?).or_default().push(u);
@@ -767,10 +944,16 @@ impl ClientConn {
             1 if !enrol_readers => {
                 let (owner, updates) = by_owner.into_iter().next().expect("one entry");
                 let req = self.fresh_req();
-                match self.rpc(owner, Msg::Commit { txn, updates, req })? {
-                    Msg::Ok => Ok(()),
-                    Msg::Err(e) => Err(ClientError::Server(e)),
-                    other => Err(ClientError::Server(format!("bad reply {other:?}"))),
+                match self.rpc(owner, Msg::Commit { txn, updates, req }) {
+                    Ok(Msg::Ok) => Ok(()),
+                    Ok(Msg::Err(e)) => Err(ClientError::Server(e)),
+                    Ok(other) => Err(ClientError::Server(format!("bad reply {other:?}"))),
+                    Err(e) => {
+                        // No answer: the transaction stays open for the
+                        // caller to abort.
+                        self.settle_images(&patches, false);
+                        return Err(e);
+                    }
                 }
             }
             _ => self.commit_global(by_owner),
@@ -784,8 +967,23 @@ impl ClientConn {
         } else {
             self.stats.commit_failures.inc();
         }
+        self.settle_images(&patches, result.is_ok());
         self.end_txn(txn)?;
         result
+    }
+
+    /// Brings the images of the pages a commit wrote in line with its
+    /// outcome: an acknowledged commit changed the pages exactly as the
+    /// patches change their images; after anything else (rejection, abort,
+    /// no answer) the pages are in a state this connection cannot know.
+    fn settle_images(&self, patches: &[(LockName, usize, Vec<u8>)], committed: bool) {
+        for (name, offset, after) in patches {
+            if committed {
+                self.lock_cache.patch_image(*name, *offset, after);
+            } else {
+                self.lock_cache.drop_image(*name);
+            }
+        }
     }
 
     /// Distributed commit: one `CommitGlobal` frame to the home server
@@ -986,16 +1184,20 @@ impl Drop for ClientConn {
 
 /// [`PageIo`] over a client connection: loads consult the uncommitted
 /// overlay, then fetch from the owning server with an S page lock when a
-/// transaction is active; write-backs of dirty pages go to the overlay
-/// (uncommitted data never reaches a server).
+/// transaction is active — never from the connection's page images;
+/// write-backs of dirty pages go to the overlay (uncommitted data never
+/// reaches a server).
 pub struct RemoteIo(pub Arc<ClientConn>);
 
 impl PageIo for RemoteIo {
     fn load(&self, page: DbPage, buf: &mut [u8]) -> Result<(), String> {
+        // Around the page images: the pool being filled is this client's
+        // data cache already, and its engine pages are shipped as whole
+        // images under S locks, which an image kept here would not see.
         let data = if self.0.current_txn().is_some() {
-            self.0.fetch_page(page, self.0.read_mode())
+            self.0.fetch_inner(page, self.0.read_mode(), false)
         } else {
-            self.0.read_page(page)
+            self.0.read_inner(page, false)
         }
         .map_err(|e| e.to_string())?;
         buf.copy_from_slice(&data[..buf.len()]);
@@ -1097,6 +1299,8 @@ impl DiskSpace for RemoteSpace {
             .0
             .owner_of(area)
             .map_err(|e| StorageError::Corrupt(e.to_string()))?;
+        // A raw write changes the page behind its image's back.
+        self.0.lock_cache.drop_image(LockName::Page { area, page });
         match self
             .0
             .rpc(

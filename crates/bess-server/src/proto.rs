@@ -4,11 +4,15 @@
 //! traffic between servers, and the server→client **callback** messages of
 //! the callback locking algorithm (§3).
 //!
-//! Failure containment adds three things to the protocol:
+//! Failure containment adds four things to the protocol:
 //!
 //! * [`Msg::Heartbeat`] — a one-way lease renewal. A server that stops
 //!   hearing from a client reaps its locks, callback copies, and in-flight
 //!   transactions (see `server::BessServer`).
+//! * [`Msg::Leased`] — the lease id on the requests of a client that keeps
+//!   locks and page images between transactions, so that a client whose
+//!   grants the server dropped without a callback (lease expiry, restart)
+//!   is refused and told, instead of going on trusting them.
 //! * Request ids (`req`) on [`Msg::Commit`] and [`Msg::CommitGlobal`] — the
 //!   non-idempotent requests. A client that times out retries with the
 //!   *same* id; the server's dedup window returns the recorded reply
@@ -74,6 +78,11 @@ pub struct PageUpdate {
     /// New bytes.
     pub after: Vec<u8>,
 }
+
+/// The [`Msg::Err`] text answering a request stamped with a lease that no
+/// longer exists (see [`Msg::Leased`]); also what a client reports for a
+/// transaction it will not commit because the lease went during it.
+pub const LEASE_LOST: &str = "lease lost: the locks this transaction relied on were released";
 
 /// Protocol messages.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -295,6 +304,24 @@ pub enum Msg {
         /// Piggybacked control messages (lease renewals, deferred lock
         /// releases, id prefetches, batched decides, ...).
         trailers: Vec<Msg>,
+    },
+
+    // ---- lease identity --------------------------------------------------
+    /// A message stamped with the id of the lease it belongs to. A client
+    /// that keeps locks and page images between transactions stamps every
+    /// request with the lease id the server last told it (`0`: none yet).
+    /// The server executes the request only if that is `0` or its current
+    /// lease for the sender; otherwise the grants the sender is relying on
+    /// are gone (lease expiry, server restart) and the request is answered
+    /// [`Msg::Err`] unexecuted. Either way a reply to a stamp that is not
+    /// the current lease comes back stamped with the current id, which is
+    /// how the client learns it. Senders that never stamp are never
+    /// refused and never see a stamped reply.
+    Leased {
+        /// The lease id (request: as the sender knows it; reply: current).
+        lease: u64,
+        /// The stamped request or reply.
+        msg: Box<Msg>,
     },
 }
 
@@ -533,9 +560,10 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Maximum [`Msg::WithTrailers`] nesting the decoder accepts — trailers
-/// may themselves be envelopes in principle, but unbounded nesting from a
-/// hostile peer must not recurse the stack away.
+/// Maximum envelope ([`Msg::WithTrailers`], [`Msg::Leased`]) nesting the
+/// decoder accepts — trailers may themselves be envelopes in principle,
+/// but unbounded nesting from a hostile peer must not recurse the stack
+/// away.
 const MAX_TRAILER_DEPTH: u32 = 4;
 
 impl Msg {
@@ -744,6 +772,11 @@ impl Msg {
                     put_bytes(&mut b, &t.encode());
                 }
             }
+            Msg::Leased { lease, msg } => {
+                b.push(41);
+                put_u64(&mut b, *lease);
+                put_bytes(&mut b, &msg.encode());
+            }
         }
         b
     }
@@ -889,6 +922,14 @@ impl Msg {
                     trailers.push(Msg::decode_at(&raw, depth + 1)?);
                 }
                 Msg::WithTrailers { msg, trailers }
+            }
+            41 => {
+                let lease = c.u64()?;
+                let inner = c.bytes()?;
+                Msg::Leased {
+                    lease,
+                    msg: Box::new(Msg::decode_at(&inner, depth + 1)?),
+                }
             }
             t => return Err(format!("bad message tag {t}")),
         };

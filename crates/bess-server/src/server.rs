@@ -31,13 +31,13 @@ use bess_lock::{LockManager, LockMode, LockName, OrderedMutex, Rank, TxnId};
 use bess_net::{Caller, Endpoint, Envelope, Network, NodeId};
 use bess_storage::{AreaId, CorruptKind, DiskPtr, StorageArea, StorageError};
 use bess_wal::{
-    recover, take_checkpoint, undo_transactions, GroupCommitConfig, LogBody, LogManager,
-    LogPageId, Lsn, RecoveryReport, RedoTarget, TxnStatus,
+    begin_checkpoint, end_checkpoint, recover, undo_transactions, GroupCommitConfig, LogBody,
+    LogManager, LogPageId, Lsn, RecoveryReport, RedoPatch, RedoTarget, TxnStatus,
 };
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::directory::Directory;
-use crate::proto::{coordinator_of, GTxn, Msg, PageUpdate, PrepareItem, Vote};
+use crate::proto::{coordinator_of, GTxn, Msg, PageUpdate, PrepareItem, Vote, LEASE_LOST};
 use crate::scrub::{repair_page, IntegrityStats, MediaGate, ScrubConfig, ScrubPassReport, Scrubber};
 
 /// Tuning for the distributed-commit fast path (presumed commit, batched
@@ -154,6 +154,9 @@ pub struct ServerStats {
     /// Client leases that expired — dead-client reclamation runs
     /// (`server.leases_expired`).
     pub leases_expired: Counter,
+    /// Requests refused because they were stamped with a lease that no
+    /// longer exists (`server.lease_lost_rejections`).
+    pub lease_lost_rejections: Counter,
     /// In-flight transactions reaped on behalf of dead clients: dropped
     /// unshipped update sets plus force-resolved prepared branches
     /// (`server.txns_reaped`).
@@ -212,6 +215,7 @@ impl ServerStats {
             prepares: group.counter("prepares"),
             coordinated: group.counter("coordinated"),
             leases_expired: group.counter("leases_expired"),
+            lease_lost_rejections: group.counter("lease_lost_rejections"),
             txns_reaped: group.counter("txns_reaped"),
             dedup_hits: group.counter("dedup_hits"),
             drain_rejections: group.counter("drain_rejections"),
@@ -257,10 +261,28 @@ impl RedoTarget for AreaTarget {
         area.restore_at(page.page, offset as usize, bytes, lsn.0)
             .map_err(|e| format!("redo write to {page:?} failed: {e}"))
     }
+
+    /// One unverified read-modify-write for the page's whole redo history,
+    /// resealed at the last record's LSN; unmounted areas are skipped as in
+    /// `apply_lsn`.
+    fn redo_page(&mut self, page: LogPageId, patches: &[RedoPatch]) -> Result<(), String> {
+        let (Some(area), Some(last)) = (self.0.get(page.area), patches.last()) else {
+            return Ok(());
+        };
+        let parts: Vec<(usize, &[u8])> = patches
+            .iter()
+            .map(|p| (p.offset as usize, p.bytes.as_slice()))
+            .collect();
+        area.restore_patches(page.page, &parts, last.lsn.0)
+            .map_err(|e| format!("redo write to {page:?} failed: {e}"))
+    }
 }
 
 struct PreparedTxn {
     updates: Vec<PageUpdate>,
+    /// The branch's oldest log record: where a checkpoint must let redo
+    /// start for the pages in `updates`.
+    first_lsn: Lsn,
     last_lsn: Lsn,
     /// The client node that shipped this branch's updates, when known.
     /// `None` for branches rebuilt by restart recovery — those are
@@ -299,6 +321,16 @@ const PREP_PIPELINE: u32 = 4;
 struct DecideOutbox {
     queue: Vec<(GTxn, bool)>,
     sending: bool,
+}
+
+/// One node's lease: the grants (locks, callback copies) the server holds
+/// for it live exactly as long as this entry.
+struct Lease {
+    /// Last time the node was heard from.
+    renewed: Instant,
+    /// Names this lease among all leases of all server incarnations, so a
+    /// [`Msg::Leased`] request can say which one it relies on.
+    id: u64,
 }
 
 /// State of one entry in the at-most-once dedup window.
@@ -355,9 +387,17 @@ struct ServerInner {
     /// answer is processed, otherwise its covered-mode re-grant races the
     /// release and a lock can be silently lost.
     callbacks_in_flight: Mutex<std::collections::HashSet<(LockName, TxnId)>>,
-    /// Last time each node was heard from. Never held across calls into
-    /// the lock manager, the log, or the network.
-    leases: OrderedMutex<HashMap<u32, Instant>>,
+    /// Lock requests being served right now, with the mode each asks for
+    /// (see [`Self::upgrade_deadlock`]).
+    lock_requests: Mutex<HashMap<(LockName, TxnId), LockMode>>,
+    /// Every node heard from within `lease_duration`. Never held across
+    /// calls into the lock manager, the log, or the network.
+    leases: OrderedMutex<HashMap<u32, Lease>>,
+    /// Held shared by a commit from its first log record until its updates
+    /// are applied, and exclusively by [`BessServer::checkpoint`] while it
+    /// appends `CheckpointBegin`: every commit is either applied before
+    /// the checkpoint's area sync or logged after its begin record.
+    commit_gate: RwLock<()>,
     /// The at-most-once window. Never held across request execution.
     dedup: OrderedMutex<DedupWindow>,
     /// Drain mode: finish in-flight work, reject new transactions.
@@ -411,9 +451,9 @@ impl BessServer {
         // below once the network caller exists.
         let mut decisions = HashMap::new();
         let mut undelivered: HashMap<GTxn, (bool, Vec<u32>, Lsn)> = HashMap::new();
-        let mut in_doubt_updates: HashMap<GTxn, (Vec<PageUpdate>, Lsn)> = HashMap::new();
+        let mut in_doubt_updates: HashMap<GTxn, (Vec<PageUpdate>, Lsn, Lsn)> = HashMap::new();
         for gtxn in &report.in_doubt {
-            in_doubt_updates.insert(*gtxn, (Vec::new(), Lsn::NULL));
+            in_doubt_updates.insert(*gtxn, (Vec::new(), Lsn::NULL, Lsn::NULL));
         }
         for rec in log.iter() {
             match &rec.body {
@@ -442,7 +482,10 @@ impl BessServer {
                     before,
                     after,
                 } => {
-                    if let Some((ups, _)) = in_doubt_updates.get_mut(&rec.txn) {
+                    if let Some((ups, first, _)) = in_doubt_updates.get_mut(&rec.txn) {
+                        if ups.is_empty() {
+                            *first = rec.lsn;
+                        }
                         ups.push(PageUpdate {
                             page: bess_cache::DbPage {
                                 area: page.area,
@@ -455,7 +498,7 @@ impl BessServer {
                     }
                 }
                 LogBody::Prepare => {
-                    if let Some((_, last)) = in_doubt_updates.get_mut(&rec.txn) {
+                    if let Some((_, _, last)) = in_doubt_updates.get_mut(&rec.txn) {
                         *last = rec.lsn;
                     }
                 }
@@ -484,7 +527,9 @@ impl BessServer {
             self_ref: self_ref.clone(),
             decide_outboxes: Mutex::new(HashMap::new()),
             callbacks_in_flight: Mutex::new(std::collections::HashSet::new()),
+            lock_requests: Mutex::new(HashMap::new()),
             leases: OrderedMutex::new(Rank::ServerLeases, "server.leases", HashMap::new()),
+            commit_gate: RwLock::new(()),
             dedup: OrderedMutex::new(
                 Rank::ServerDedup,
                 "server.dedup",
@@ -520,7 +565,7 @@ impl BessServer {
 
         // In-doubt transactions keep exclusive locks on the pages they
         // updated until the coordinator's verdict arrives.
-        for (gtxn, (updates, last_lsn)) in in_doubt_updates {
+        for (gtxn, (updates, first_lsn, last_lsn)) in in_doubt_updates {
             for u in &updates {
                 let name = LockName::Page {
                     area: u.page.area,
@@ -532,6 +577,7 @@ impl BessServer {
                 gtxn,
                 PreparedTxn {
                     updates,
+                    first_lsn,
                     last_lsn,
                     shipper: None,
                     prepared_at: Instant::now(),
@@ -621,19 +667,47 @@ impl BessServer {
         v
     }
 
-    /// Takes a fuzzy checkpoint (the server applies updates write-through,
-    /// so the dirty page table is empty; in-doubt transactions are
-    /// recorded).
+    /// Takes a checkpoint, safe to call while the server is committing.
+    ///
+    /// The server applies committed updates write-through but does not
+    /// sync its areas on the commit path, so a checkpoint is what makes
+    /// them durable: it appends `CheckpointBegin` with no commit between
+    /// its first log record and its apply (`commit_gate`), *then* syncs
+    /// every mounted area, then writes the tables. A commit is therefore
+    /// either applied before the sync, or logged after the begin record,
+    /// where restart analysis finds it. The one kind of update that is
+    /// logged before the begin record and not applied is a prepared
+    /// (in-doubt) branch's: its pages go into the dirty page table at the
+    /// branch's first LSN, so that a commit decided after the checkpoint
+    /// is still redone after a crash, and the branch itself into the
+    /// transaction table.
     pub fn checkpoint(&self) -> bess_wal::WalResult<()> {
-        let active: Vec<(u64, Lsn, TxnStatus)> = self
-            .inner
-            .prepared
-            .lock()
-            .iter()
-            .map(|(g, p)| (*g, p.last_lsn, TxnStatus::Prepared))
-            .collect();
-        take_checkpoint(&self.inner.log, Vec::new(), active)?;
-        Ok(())
+        let mut dirty: Vec<(LogPageId, Lsn)> = Vec::new();
+        let mut active: Vec<(u64, Lsn, TxnStatus)> = Vec::new();
+        let begin = {
+            let _no_commit_in_flight = self.inner.commit_gate.write();
+            for (g, p) in self.inner.prepared.lock().iter() {
+                active.push((*g, p.last_lsn, TxnStatus::Prepared));
+                for u in &p.updates {
+                    dirty.push((
+                        LogPageId {
+                            area: u.page.area,
+                            page: u.page.page,
+                        },
+                        p.first_lsn,
+                    ));
+                }
+            }
+            begin_checkpoint(&self.inner.log)
+        };
+        for id in self.inner.areas.ids() {
+            if let Some(area) = self.inner.areas.get(id) {
+                area.sync().map_err(|e| {
+                    std::io::Error::other(format!("checkpoint could not sync area {id}: {e}"))
+                })?;
+            }
+        }
+        end_checkpoint(&self.inner.log, begin, dirty, active)
     }
 
     /// Asks coordinators for verdicts on every in-doubt transaction,
@@ -828,11 +902,48 @@ fn serve_loop(inner: Arc<ServerInner>, endpoint: Endpoint<Msg>) {
 
 impl ServerInner {
     fn handle(&self, from: NodeId, msg: Msg) -> Msg {
-        // Any message is proof of life: renew the sender's lease. The
-        // guard is dropped before dispatch — leases rank below nothing
-        // this request will take.
-        self.leases.lock().insert(from.0, Instant::now());
+        let (claim, msg) = match msg {
+            Msg::Leased { lease, msg } => (Some(lease), *msg),
+            m => (None, m),
+        };
+        // Any message is proof of life: renew the sender's lease, or open
+        // one. The guard is dropped before dispatch — leases rank below
+        // nothing this request will take.
+        let lease = {
+            let now = Instant::now();
+            let mut leases = self.leases.lock();
+            let lease = leases.entry(from.0).or_insert_with(|| Lease {
+                renewed: now,
+                id: crate::client::fresh_incarnation(),
+            });
+            lease.renewed = now;
+            lease.id
+        };
+        // A sender relying on a lease that is gone holds nothing here any
+        // more: refuse the request and say which lease it has now.
+        let lost = claim.is_some_and(|c| c != 0 && c != lease);
+        if lost && msg == Msg::Heartbeat {
+            // One-way: no reply will carry the news, so send it.
+            let news = Msg::Leased {
+                lease,
+                msg: Box::new(Msg::Heartbeat),
+            };
+            let _ = self.caller.send(from, news);
+        }
+        let reply = self.handle_request(from, msg, lost);
+        match claim {
+            Some(c) if c != lease => Msg::Leased {
+                lease,
+                msg: Box::new(reply),
+            },
+            _ => reply,
+        }
+    }
 
+    /// [`Self::handle`] below the lease stamp. `lease_lost` refuses
+    /// everything that was not already executed (a retried commit is still
+    /// answered from the dedup window).
+    fn handle_request(&self, from: NodeId, msg: Msg, lease_lost: bool) -> Msg {
         // Unwrap piggybacked control traffic. Trailers execute only when
         // this delivery owns execution (i.e. after the dedup gate admits
         // the carrier), so a network-duplicated frame cannot run its
@@ -866,21 +977,34 @@ impl ServerInner {
             if let Some(replayed) = self.dedup_begin(key) {
                 return replayed;
             }
-            let t_replies = self.run_trailers(from, trailers);
-            let reply = match self.check_degraded(&msg) {
-                Some(reject) => reject,
-                None => self.dispatch(from, msg),
-            };
+            let (reply, t_replies) = self.execute(from, msg, trailers, lease_lost);
             self.dedup_finish(key, reply.clone());
             return Msg::with_trailers(reply, t_replies);
         }
+        let (reply, t_replies) = self.execute(from, msg, trailers, lease_lost);
+        Msg::with_trailers(reply, t_replies)
+    }
 
+    /// Runs the trailers, then the carrier, unless a degraded mode or a
+    /// lost lease forbids it. Returns the carrier's reply and the
+    /// trailers' replies.
+    fn execute(
+        &self,
+        from: NodeId,
+        msg: Msg,
+        trailers: Vec<Msg>,
+        lease_lost: bool,
+    ) -> (Msg, Vec<Msg>) {
+        if lease_lost {
+            self.stats.lease_lost_rejections.inc();
+            return (Msg::Err(LEASE_LOST.into()), Vec::new());
+        }
         let t_replies = self.run_trailers(from, trailers);
         let reply = match self.check_degraded(&msg) {
             Some(reject) => reject,
             None => self.dispatch(from, msg),
         };
-        Msg::with_trailers(reply, t_replies)
+        (reply, t_replies)
     }
 
     /// Executes piggybacked trailers in frame order, before the carrier
@@ -1004,7 +1128,7 @@ impl ServerInner {
             let mut leases = self.leases.lock();
             let dead: Vec<u32> = leases
                 .iter()
-                .filter(|(_, last)| now.duration_since(**last) >= self.cfg.lease_duration)
+                .filter(|(_, l)| now.duration_since(l.renewed) >= self.cfg.lease_duration)
                 .map(|(n, _)| *n)
                 .collect();
             for n in &dead {
@@ -1303,6 +1427,37 @@ impl ServerInner {
     /// protocol against conflicting holders first.
     fn do_lock(&self, from: NodeId, name: LockName, mode: LockMode) -> Msg {
         let owner = TxnId(u64::from(from.0));
+        self.lock_requests.lock().insert((name, owner), mode);
+        let reply = self.serve_lock(owner, name, mode);
+        self.lock_requests.lock().remove(&(name, owner));
+        reply
+    }
+
+    /// Whether `owner`, whose callback `holder` has just deferred, waits
+    /// for it in vain and must give way: `holder` has a request of its own
+    /// for `name` in progress here that conflicts with what `owner` holds —
+    /// two clients upgrading the same lock. A holder defers a callback
+    /// that races its own request until its transaction ends, the
+    /// transaction cannot end before the request is granted, and the
+    /// request cannot be granted before `owner` lets go. Both sides may see
+    /// the cycle at once; the first to decide takes its request off the
+    /// table under the same guard, so the other no longer sees one.
+    fn upgrade_deadlock(&self, name: LockName, owner: TxnId, holder: TxnId) -> bool {
+        let held = self.locks.holders(name);
+        let mut requests = self.lock_requests.lock();
+        let Some(&wanted) = requests.get(&(name, holder)) else {
+            return false;
+        };
+        let cycle = held
+            .iter()
+            .any(|(h, mode)| *h == owner && !mode.compatible(wanted));
+        if cycle {
+            requests.remove(&(name, owner));
+        }
+        cycle
+    }
+
+    fn serve_lock(&self, owner: TxnId, name: LockName, mode: LockMode) -> Msg {
         // If this very client is being called back for this resource right
         // now, wait until that callback's answer lands — a covered-mode
         // re-grant here would race the release and be silently undone.
@@ -1358,7 +1513,17 @@ impl ServerInner {
                 Ok(Msg::CallbackDeferred) => {
                     self.stats.callback_deferred.inc();
                     // The holder will send ReleaseCached when its local
-                    // transaction finishes; we wait below.
+                    // transaction finishes; we wait below — unless that
+                    // transaction is itself waiting for us. Whoever sees
+                    // the cycle gives way at once instead of both sitting
+                    // out `lock_timeout`.
+                    if self.upgrade_deadlock(name, owner, holder) {
+                        self.callbacks_in_flight.lock().remove(&(name, holder));
+                        self.stats.locks_denied.inc();
+                        return Msg::Denied(format!(
+                            "deadlock: {holder:?} is upgrading {name:?} too"
+                        ));
+                    }
                 }
                 _ => {
                     // Holder unreachable (crashed client) or an in-doubt
@@ -1460,6 +1625,7 @@ impl ServerInner {
     fn do_commit(&self, txn: u64, updates: &[PageUpdate]) -> Msg {
         let _timer = self.commit_ns.start();
         let _span = self.group.registry().span("commit", txn);
+        let _gate = self.commit_gate.read();
         let begin = self.log.append(txn, Lsn::NULL, LogBody::Begin);
         let prev = self.append_updates(txn, begin, updates);
         let commit = self.log.append(txn, prev, LogBody::Commit);
@@ -1508,6 +1674,8 @@ impl ServerInner {
                 return Vote::ReadOnly;
             }
         };
+        // Logged and in `prepared`, or neither, as a checkpoint sees it.
+        let _gate = self.commit_gate.read();
         let begin = self.log.append(gtxn, Lsn::NULL, LogBody::Begin);
         let prev = self.append_updates(gtxn, begin, &updates);
         let prepare = self.log.append(gtxn, prev, LogBody::Prepare);
@@ -1519,6 +1687,7 @@ impl ServerInner {
             gtxn,
             PreparedTxn {
                 updates,
+                first_lsn: begin,
                 last_lsn: prepare,
                 shipper,
                 prepared_at: Instant::now(),
@@ -1530,6 +1699,8 @@ impl ServerInner {
 
     /// 2PC phase 2 at a participant. Idempotent.
     fn decide(&self, gtxn: GTxn, commit: bool) {
+        // In `prepared`, or applied, as a checkpoint sees it.
+        let _gate = self.commit_gate.read();
         let Some(p) = self.prepared.lock().remove(&gtxn) else {
             return;
         };

@@ -1,0 +1,726 @@
+//! Coherence of the page images a caching [`ClientConn`] keeps on its
+//! cached page locks, and the callback that races the connection's own
+//! in-flight lock request.
+//!
+//! No test here sleeps or depends on thread timing: the races are forced by
+//! a server endpoint the test drives by hand, and the only waits are the
+//! client's own (short) RPC timeout where a reply is withheld on purpose.
+
+use std::sync::Arc;
+use std::time::Duration;
+
+use bess_cache::{AreaSet, DbPage};
+use bess_lock::{LockMode, LockName, IMAGE_CAPACITY};
+use bess_net::{Endpoint, NetFaultKind, NetFaultPlan, Network, NodeId};
+use bess_server::{
+    register_areas, BessServer, ClientConfig, ClientConn, ClientOpts, Directory, Msg, NodeServer,
+    NodeServerConfig, PageUpdate, ServerConfig,
+};
+use bess_storage::{AreaConfig, AreaId, StorageArea};
+use bess_wal::LogManager;
+
+const SERVER: NodeId = NodeId(100);
+
+struct World {
+    net: Arc<Network<Msg>>,
+    dir: Arc<Directory>,
+    set: Arc<AreaSet>,
+    server: BessServer,
+}
+
+/// One server owning area 0.
+fn world() -> World {
+    let net = Network::new(Duration::ZERO);
+    let dir = Arc::new(Directory::new());
+    let set = Arc::new(AreaSet::new());
+    set.add(Arc::new(
+        StorageArea::create_mem(AreaId(0), AreaConfig::default()).unwrap(),
+    ));
+    register_areas(&dir, SERVER, &set);
+    let (server, _) = BessServer::start(
+        ServerConfig::new(SERVER),
+        Arc::clone(&set),
+        LogManager::create_mem(),
+        &net,
+    );
+    World {
+        net,
+        dir,
+        set,
+        server,
+    }
+}
+
+impl World {
+    /// The server process dies and a new one starts over the same areas
+    /// and the flushed log: every lease and every lock is forgotten.
+    fn restart(self) -> World {
+        let log = self.server.log().simulate_crash().unwrap();
+        self.server.shutdown();
+        self.net.unregister(SERVER);
+        let (server, _) =
+            BessServer::start(ServerConfig::new(SERVER), Arc::clone(&self.set), log, &self.net);
+        World { server, ..self }
+    }
+
+    fn client(&self, node: u32, tune: impl FnOnce(&mut ClientConfig)) -> Arc<ClientConn> {
+        let mut cfg = ClientConfig::new(NodeId(node), SERVER);
+        tune(&mut cfg);
+        ClientConn::connect(&self.net, Arc::clone(&self.dir), cfg)
+    }
+
+    /// `n` freshly allocated pages of area 0.
+    fn pages(&self, n: u32) -> Vec<DbPage> {
+        let area = self.server.areas().get(0).unwrap();
+        let mut out = Vec::new();
+        while out.len() < n as usize {
+            let seg = area.alloc(64.min(n)).unwrap();
+            out.extend((0..u64::from(seg.pages)).map(|i| DbPage {
+                area: 0,
+                page: seg.start_page + i,
+            }));
+        }
+        out.truncate(n as usize);
+        out
+    }
+
+    /// `(net.calls, server.reads + server.fetches)`: any message, and any
+    /// page the server shipped.
+    fn traffic(&self) -> (u64, u64) {
+        let s = self.server.stats();
+        (
+            self.net.stats().calls.get(),
+            s.reads.get() + s.fetches.get(),
+        )
+    }
+}
+
+fn update(page: DbPage, offset: u32, before: &[u8], after: &[u8]) -> PageUpdate {
+    PageUpdate {
+        page,
+        offset,
+        before: before.to_vec(),
+        after: after.to_vec(),
+    }
+}
+
+fn lock_name(page: DbPage) -> LockName {
+    LockName::Page {
+        area: page.area,
+        page: page.page,
+    }
+}
+
+/// One transaction that fetches `page` under `mode` and commits `updates`.
+fn txn(c: &ClientConn, page: DbPage, mode: LockMode, updates: Vec<PageUpdate>) -> Vec<u8> {
+    c.begin().unwrap();
+    let data = c.fetch_page(page, mode).unwrap();
+    c.commit(updates).unwrap();
+    data
+}
+
+fn counter(c: &ClientConn, name: &str) -> u64 {
+    c.metrics().registry().snapshot().counter(name)
+}
+
+#[test]
+fn lock_hit_with_an_image_sends_nothing() {
+    let w = world();
+    let p = w.pages(1)[0];
+    let c = w.client(1, |_| {});
+    txn(&c, p, LockMode::S, vec![]);
+    assert_eq!(c.lock_cache().images(), 1);
+
+    c.begin().unwrap();
+    let before = (
+        w.traffic(),
+        c.stats().read_rpcs.get(),
+        c.stats().fetch_rpcs.get(),
+    );
+    let data = c.fetch_page(p, LockMode::S).unwrap();
+    let again = c.read_page(p).unwrap();
+    assert_eq!(
+        (
+            w.traffic(),
+            c.stats().read_rpcs.get(),
+            c.stats().fetch_rpcs.get()
+        ),
+        before,
+        "a lock hit with an image must not reach the server"
+    );
+    assert_eq!(data, again);
+    assert_eq!(data.len(), c.page_size());
+    c.commit(vec![]).unwrap();
+    assert_eq!(counter(&c, "client.page_cache.hits"), 2);
+    assert_eq!(
+        counter(&c, "client.page_cache.misses"),
+        1,
+        "the first fetch"
+    );
+    c.disconnect();
+}
+
+#[test]
+fn another_clients_write_purges_the_image() {
+    let w = world();
+    let p = w.pages(1)[0];
+    let a = w.client(1, |_| {});
+    let b = w.client(2, |_| {});
+    txn(&a, p, LockMode::S, vec![]);
+    assert_eq!(a.lock_cache().images(), 1);
+
+    // B's X request calls A's idle S back: lock and image go together.
+    txn(&b, p, LockMode::X, vec![update(p, 0, &[0; 4], b"from")]);
+    assert_eq!(a.lock_cache().cached_mode(lock_name(p)), None);
+    assert_eq!(a.lock_cache().images(), 0);
+    assert_eq!(counter(&a, "client.page_cache.invalidations"), 1);
+
+    // A's next fetch is a miss and sees B's committed bytes.
+    let data = txn(&a, p, LockMode::S, vec![]);
+    assert_eq!(&data[0..4], b"from");
+    a.disconnect();
+    b.disconnect();
+}
+
+#[test]
+fn downgrade_keeps_the_image_valid() {
+    let w = world();
+    let p = w.pages(1)[0];
+    let a = w.client(1, |_| {});
+    let b = w.client(2, |_| {});
+    txn(&a, p, LockMode::X, vec![update(p, 0, &[0; 4], b"mine")]);
+
+    // B reads: the server asks A to downgrade X to S, not to release.
+    let seen = txn(&b, p, LockMode::S, vec![]);
+    assert_eq!(&seen[0..4], b"mine");
+    assert_eq!(a.lock_cache().cached_mode(lock_name(p)), Some(LockMode::S));
+    assert_eq!(a.lock_cache().images(), 1, "S still vouches for the bytes");
+
+    a.begin().unwrap();
+    let before = w.traffic();
+    assert_eq!(&a.fetch_page(p, LockMode::S).unwrap()[0..4], b"mine");
+    assert_eq!(w.traffic(), before);
+    a.commit(vec![]).unwrap();
+    a.disconnect();
+    b.disconnect();
+}
+
+#[test]
+fn own_commit_patches_and_a_refused_commit_drops() {
+    let w = world();
+    let p = w.pages(1)[0];
+    let c = w.client(1, |_| {});
+    txn(&c, p, LockMode::X, vec![update(p, 8, &[0; 3], b"one")]);
+
+    // Acknowledged: the image carries the after-bytes, without a refetch.
+    let before = w.traffic().1;
+    c.begin().unwrap();
+    let data = c.fetch_page(p, LockMode::X).unwrap();
+    assert_eq!(&data[8..11], b"one");
+    assert_eq!(w.traffic().1, before);
+
+    // Refused (`Msg::Err`): whatever the page holds now, the image is not it.
+    w.server.set_read_only(true);
+    let refused = c.commit(vec![update(p, 8, b"one", b"two")]);
+    assert!(refused.is_err());
+    assert_eq!(c.lock_cache().images(), 0);
+    assert_eq!(
+        c.lock_cache().cached_mode(lock_name(p)),
+        Some(LockMode::X),
+        "the lock stays"
+    );
+    w.server.set_read_only(false);
+
+    let data = txn(&c, p, LockMode::S, vec![]);
+    assert_eq!(&data[8..11], b"one", "refetched from the server");
+    assert_eq!(w.traffic().1, before + 1);
+    c.disconnect();
+}
+
+#[test]
+fn a_commit_without_an_answer_drops_the_written_images() {
+    let w = world();
+    let pages = w.pages(2);
+    let (p, q) = (pages[0], pages[1]);
+    let c = w.client(1, |cfg| {
+        cfg.max_retries = 0;
+        // Waited out once, by the commit whose reply is dropped.
+        cfg.rpc_timeout = Duration::from_secs(1);
+        cfg.opts = ClientOpts {
+            lazy_begin: true,
+            ..ClientOpts::default()
+        };
+    });
+    txn(&c, p, LockMode::X, vec![]);
+    txn(&c, q, LockMode::S, vec![]);
+    assert_eq!(c.lock_cache().images(), 2);
+
+    // Both locks are cached, so the commit is this client's next message;
+    // its reply is lost.
+    c.begin().unwrap();
+    c.fetch_page(p, LockMode::X).unwrap();
+    c.fetch_page(q, LockMode::S).unwrap();
+    let plan = NetFaultPlan::armed_from(c.node(), 0, NetFaultKind::DropReply);
+    w.net.arm(Arc::clone(&plan));
+    let lost = c.commit(vec![update(p, 0, &[0; 4], b"lost")]);
+    assert!(lost.is_err());
+    assert_eq!(plan.fired(), 1);
+    assert_eq!(c.lock_cache().image(lock_name(p)), None, "fate unknown: dropped");
+    assert!(c.lock_cache().image(lock_name(q)).is_some(), "only read: kept");
+    c.abort().unwrap();
+
+    // The commit did land; the refetch shows it.
+    let data = txn(&c, p, LockMode::S, vec![]);
+    assert_eq!(&data[0..4], b"lost");
+    c.disconnect();
+}
+
+#[test]
+fn intention_modes_are_never_served_from_an_image() {
+    let w = world();
+    let p = w.pages(1)[0];
+    let c = w.client(1, |_| {});
+    for mode in [LockMode::IS, LockMode::IX] {
+        let shipped = w.traffic().1;
+        txn(&c, p, mode, vec![]);
+        txn(&c, p, mode, vec![]);
+        assert_eq!(
+            c.lock_cache().images(),
+            0,
+            "{mode:?} must not keep an image"
+        );
+        assert_eq!(
+            w.traffic().1,
+            shipped + 2,
+            "{mode:?} must ask the server every time"
+        );
+    }
+    assert_eq!(counter(&c, "client.page_cache.hits"), 0);
+    c.disconnect();
+}
+
+#[test]
+fn image_count_stops_at_the_capacity_while_locks_keep_growing() {
+    let w = world();
+    let extra = 40;
+    let pages = w.pages(IMAGE_CAPACITY as u32 + extra);
+    let c = w.client(1, |cfg| {
+        cfg.opts = ClientOpts {
+            lazy_begin: true,
+            ..ClientOpts::default()
+        }
+    });
+    c.begin().unwrap();
+    for (i, &p) in pages.iter().enumerate() {
+        c.fetch_page(p, LockMode::S).unwrap();
+        assert_eq!(c.lock_cache().len(), i + 1);
+        assert_eq!(c.lock_cache().images(), (i + 1).min(IMAGE_CAPACITY));
+    }
+    c.commit(vec![]).unwrap();
+    assert_eq!(counter(&c, "client.page_cache.evictions"), u64::from(extra));
+
+    // The oldest image went, its lock did not: a lock hit plus one read.
+    let oldest = pages[0];
+    assert_eq!(
+        c.lock_cache().cached_mode(lock_name(oldest)),
+        Some(LockMode::S)
+    );
+    let (fetches, reads) = (c.stats().fetch_rpcs.get(), c.stats().read_rpcs.get());
+    txn(&c, oldest, LockMode::S, vec![]);
+    assert_eq!(
+        (c.stats().fetch_rpcs.get(), c.stats().read_rpcs.get()),
+        (fetches, reads + 1)
+    );
+    c.disconnect();
+}
+
+#[test]
+fn non_caching_and_gateway_connections_hold_no_images() {
+    let w = world();
+    let p = w.pages(1)[0];
+    let plain = w.client(1, |cfg| cfg.caching = false);
+    let ns = NodeServer::start(
+        NodeServerConfig::new(NodeId(50)),
+        Arc::clone(&w.dir),
+        &w.net,
+    );
+    let via = {
+        let mut cfg = ClientConfig::new(NodeId(51), ns.node());
+        cfg.gateway = Some(ns.node());
+        ClientConn::connect(&w.net, Arc::clone(&w.dir), cfg)
+    };
+    for c in [&plain, &via] {
+        c.begin().unwrap();
+        c.fetch_page(p, LockMode::S).unwrap();
+        assert_eq!(c.lock_cache().images(), 0);
+        c.commit(vec![]).unwrap();
+        txn(c, p, LockMode::S, vec![]);
+        assert_eq!(c.lock_cache().images(), 0);
+        for name in ["hits", "misses", "evictions", "invalidations"] {
+            assert_eq!(
+                counter(c, &format!("client.page_cache.{name}")),
+                0,
+                "{name}"
+            );
+        }
+        c.disconnect();
+    }
+    ns.shutdown();
+}
+
+// ---- grants the server dropped without a callback ------------------------
+
+/// No heartbeat gets in before the request the test means to be refused.
+fn quiet(cfg: &mut ClientConfig) {
+    cfg.heartbeat_interval = Duration::from_secs(3600);
+}
+
+fn lazy(cfg: &mut ClientConfig) {
+    quiet(cfg);
+    cfg.opts = ClientOpts {
+        lazy_begin: true,
+        ..ClientOpts::default()
+    };
+}
+
+/// A has an image of `p`; then `lose` makes the server forget A's lease
+/// (no callback reaches A) and B commits new bytes to `p`.
+fn image_outlives_its_lock(
+    tune: fn(&mut ClientConfig),
+    lose: impl FnOnce(World, &ClientConn) -> World,
+) -> (World, Arc<ClientConn>, DbPage) {
+    let w = world();
+    let p = w.pages(1)[0];
+    let a = w.client(1, tune);
+    txn(&a, p, LockMode::S, vec![]);
+    assert_eq!(a.lock_cache().images(), 1);
+    let w = lose(w, &a);
+    assert!(w.server.locks_held_by(a.node()).is_empty());
+    let b = w.client(2, |_| {});
+    txn(&b, p, LockMode::X, vec![update(p, 0, &[0; 4], b"newer")]);
+    b.disconnect();
+    (w, a, p)
+}
+
+fn expire(w: World, a: &ClientConn) -> World {
+    w.server.expire_lease(a.node());
+    w
+}
+
+/// The next request A sends is refused unexecuted, A drops every lock and
+/// image, and — no transaction being open — asks again under its new lease.
+#[test]
+fn an_expired_lease_takes_every_image_with_it() {
+    let (w, a, p) = image_outlives_its_lock(quiet, expire);
+    assert_eq!(a.lock_cache().images(), 1, "nobody told A");
+    let data = txn(&a, p, LockMode::S, vec![]);
+    assert_eq!(&data[0..5], b"newer");
+    assert_eq!(a.stats().leases_lost.get(), 1);
+    assert_eq!(w.server.stats().lease_lost_rejections.get(), 1);
+    assert_eq!(counter(&a, "client.page_cache.invalidations"), 1);
+    // One loss, one refusal: the new lease is as good as the first was.
+    let before = w.traffic();
+    a.begin().unwrap();
+    assert_eq!(&a.fetch_page(p, LockMode::S).unwrap()[0..5], b"newer");
+    a.commit(vec![]).unwrap();
+    assert_eq!(w.traffic().1, before.1, "served from the new image");
+    assert_eq!(a.stats().leases_lost.get(), 1);
+    a.disconnect();
+}
+
+#[test]
+fn a_restarted_server_takes_every_image_with_it() {
+    let (w, a, p) = image_outlives_its_lock(quiet, |w, _| w.restart());
+    let data = txn(&a, p, LockMode::S, vec![]);
+    assert_eq!(&data[0..5], b"newer");
+    assert_eq!(a.stats().leases_lost.get(), 1);
+    assert_eq!(w.server.stats().lease_lost_rejections.get(), 1);
+    a.disconnect();
+}
+
+/// A transaction that is open when the loss comes to light may already
+/// have read a stale image: the refused request fails, and so does the
+/// commit, whatever the application does in between.
+#[test]
+fn a_transaction_open_when_the_lease_is_found_lost_cannot_commit() {
+    let (w, a, p) = image_outlives_its_lock(lazy, expire);
+    let q = w.pages(1)[0];
+    a.begin().unwrap();
+    let stale = a.fetch_page(p, LockMode::S).unwrap();
+    assert_eq!(&stale[0..5], &[0; 5], "no message yet, so no way to know");
+    assert!(a.fetch_page(q, LockMode::S).is_err(), "refused");
+    assert_eq!(a.lock_cache().len(), 0);
+    // Under the new lease the same request is served, but it is too late.
+    a.fetch_page(q, LockMode::S).unwrap();
+    let commits = w.server.stats().commits.get();
+    let lost = a.commit(vec![update(p, 0, b"newer", b"stale")]);
+    assert!(lost.is_err());
+    assert_eq!(a.current_txn(), None, "aborted");
+    assert_eq!(w.server.stats().commits.get(), commits);
+    assert_eq!(&txn(&a, p, LockMode::S, vec![])[0..5], b"newer");
+    a.disconnect();
+}
+
+/// The commit message itself can be the first the server sees: refused,
+/// not applied.
+#[test]
+fn a_commit_stamped_with_a_lost_lease_is_not_applied() {
+    let (w, a, p) = image_outlives_its_lock(lazy, expire);
+    a.begin().unwrap();
+    a.fetch_page(p, LockMode::S).unwrap();
+    let commits = w.server.stats().commits.get();
+    assert!(a.commit(vec![update(p, 0, &[0; 5], b"stale")]).is_err());
+    assert_eq!(w.server.stats().commits.get(), commits);
+    assert_eq!(&txn(&a, p, LockMode::S, vec![])[0..5], b"newer");
+    a.disconnect();
+}
+
+/// A connection that sends nothing but heartbeats still learns: the server
+/// answers a heartbeat stamped with a lease it no longer has. (The only
+/// wait in this file that is not forced: a bounded poll for the listener's
+/// next idle tick.)
+#[test]
+fn a_heartbeat_brings_the_news_to_an_idle_connection() {
+    fn quick(cfg: &mut ClientConfig) {
+        lazy(cfg);
+        cfg.heartbeat_interval = Duration::from_millis(1);
+    }
+    let (w, a, p) = image_outlives_its_lock(quick, expire);
+    let deadline = std::time::Instant::now() + WAIT;
+    while a.stats().leases_lost.get() == 0 {
+        assert!(std::time::Instant::now() < deadline, "no news in {WAIT:?}");
+        std::thread::yield_now();
+    }
+    assert_eq!(a.lock_cache().len(), 0);
+    let calls = w.net.stats().calls.get();
+    a.begin().unwrap();
+    assert_eq!(&a.fetch_page(p, LockMode::S).unwrap()[0..5], b"newer");
+    a.commit(vec![]).unwrap();
+    assert_eq!(w.net.stats().calls.get(), calls + 1, "one fetch, never refused");
+    a.disconnect();
+}
+
+/// Two clients hold S on a page and both ask for X. Each defers the
+/// other's callback until its own transaction ends, and neither can end:
+/// the server sees the cycle when the second request's callback comes back
+/// deferred, and that request gives way at once instead of both sitting out
+/// the lock timeout.
+#[test]
+fn the_second_of_two_upgraders_gives_way_at_once() {
+    let w = world();
+    let p = w.pages(1)[0];
+    let a = w.client(1, quiet);
+    let b = w.client(2, quiet);
+    for c in [&a, &b] {
+        c.begin().unwrap();
+        c.fetch_page(p, LockMode::S).unwrap();
+    }
+    std::thread::scope(|s| {
+        let first = s.spawn(|| a.fetch_page(p, LockMode::X).map(drop));
+        // A's request is being served once its callback to B (whose S is
+        // in use) has been deferred.
+        let deadline = std::time::Instant::now() + WAIT;
+        while w.server.stats().callback_deferred.get() == 0 {
+            assert!(std::time::Instant::now() < deadline, "A's request never got there");
+            std::thread::yield_now();
+        }
+        match b.fetch_page(p, LockMode::X) {
+            Err(bess_server::ClientError::Denied(why)) => {
+                assert!(why.starts_with("deadlock: "), "not the timeout: {why}")
+            }
+            other => panic!("B must give way, got {other:?}"),
+        }
+        b.abort().unwrap();
+        first.join().unwrap().expect("A is granted X once B lets go");
+    });
+    a.commit(vec![update(p, 0, &[0; 4], b"mine")]).unwrap();
+    assert_eq!(&txn(&b, p, LockMode::S, vec![])[0..4], b"mine");
+    a.disconnect();
+    b.disconnect();
+}
+
+// ---- the callback that races the client's own in-flight request ---------
+
+/// A server the test plays by hand: it owns area 0 on a network of its own.
+struct HandServer {
+    net: Arc<Network<Msg>>,
+    endpoint: Endpoint<Msg>,
+    client: Arc<ClientConn>,
+}
+
+const PAGE: DbPage = DbPage { area: 0, page: 7 };
+const WAIT: Duration = Duration::from_secs(5);
+
+fn hand_server() -> HandServer {
+    let net: Arc<Network<Msg>> = Network::new(Duration::ZERO);
+    let dir = Arc::new(Directory::new());
+    dir.set_owner(0, SERVER);
+    let endpoint = net.register(SERVER);
+    let mut cfg = ClientConfig::new(NodeId(1), SERVER);
+    cfg.opts = ClientOpts {
+        lazy_begin: true,
+        ..ClientOpts::default()
+    };
+    // The hand-played server answers no heartbeats.
+    cfg.heartbeat_interval = Duration::from_secs(3600);
+    let client = ClientConn::connect(&net, dir, cfg);
+    HandServer {
+        net,
+        endpoint,
+        client,
+    }
+}
+
+impl HandServer {
+    /// Receives the client's next request, which must satisfy `expect`
+    /// under its lease stamp (this server never tells the client a lease
+    /// id, so the stamp stays 0 and nothing is ever refused).
+    fn next_request(&self, expect: impl FnOnce(&Msg) -> bool) -> bess_net::Envelope<Msg> {
+        let env = self.endpoint.recv(WAIT).expect("the client sent nothing");
+        let request = match &env.msg {
+            Msg::Leased { lease: 0, msg } => msg,
+            other => panic!("a caching client stamps every request: {other:?}"),
+        };
+        assert!(expect(request), "unexpected request {request:?}");
+        env
+    }
+
+    /// Leaves the client with an idle cached S on `PAGE`.
+    fn cache_an_idle_s(&self) {
+        std::thread::scope(|s| {
+            let app = s.spawn(|| txn(&self.client, PAGE, LockMode::S, vec![]));
+            self.next_request(
+                |m| matches!(m, Msg::FetchPage { page, mode: LockMode::S } if *page == PAGE),
+            )
+            .reply(Msg::PageData(vec![0; self.client.page_size()]));
+            app.join().unwrap();
+        });
+        assert_eq!(
+            self.client.lock_cache().cached_mode(lock_name(PAGE)),
+            Some(LockMode::S)
+        );
+    }
+
+    /// The race itself: the client's X upgrade is in flight (received, not
+    /// yet answered) when `callback` arrives. The client must defer it,
+    /// keep the X it is then granted for its transaction, and hand the lock
+    /// back when the transaction ends.
+    fn callback_races_the_upgrade(&self, callback: Msg) {
+        self.cache_an_idle_s();
+        std::thread::scope(|s| {
+            let app = s.spawn(|| {
+                self.client.begin().unwrap();
+                self.client.fetch_page(PAGE, LockMode::X).unwrap();
+                // Still the holder, as far as this client knows.
+                let mode = self.client.lock_cache().cached_mode(lock_name(PAGE));
+                self.client.commit(vec![]).unwrap();
+                mode
+            });
+            let upgrade = self.next_request(
+                |m| matches!(m, Msg::FetchPage { page, mode: LockMode::X } if *page == PAGE),
+            );
+            let answer = self
+                .endpoint
+                .call(self.client.node(), callback, WAIT)
+                .unwrap();
+            assert_eq!(
+                answer,
+                Msg::CallbackDeferred,
+                "a callback that races the client's own request must be deferred"
+            );
+            upgrade.reply(Msg::PageData(vec![0; self.client.page_size()]));
+            // The transaction ends: the deferred release arrives.
+            self.next_request(
+                |m| matches!(m, Msg::ReleaseCached { names } if names == &[lock_name(PAGE)]),
+            )
+            .reply(Msg::Ok);
+            assert_eq!(app.join().unwrap(), Some(LockMode::X));
+        });
+        assert_eq!(self.client.lock_cache().cached_mode(lock_name(PAGE)), None);
+        assert_eq!(self.client.lock_cache().images(), 0);
+    }
+
+    fn hang_up(self) {
+        // Nothing is cached any more, so disconnecting sends nothing.
+        self.client.disconnect();
+        assert!(self.endpoint.try_recv().is_none());
+        self.net.unregister(SERVER);
+    }
+}
+
+#[test]
+fn release_callback_racing_an_upgrade_is_deferred() {
+    let hs = hand_server();
+    hs.callback_races_the_upgrade(Msg::Callback {
+        name: lock_name(PAGE),
+    });
+    hs.hang_up();
+}
+
+#[test]
+fn downgrade_callback_racing_an_upgrade_is_deferred() {
+    let hs = hand_server();
+    hs.callback_races_the_upgrade(Msg::CallbackDowngrade {
+        name: lock_name(PAGE),
+        to: LockMode::S,
+    });
+    hs.hang_up();
+}
+
+/// Without a request in flight the same callbacks are answered at once, and
+/// a release takes the image with it.
+#[test]
+fn callbacks_on_an_idle_lock_are_answered_at_once() {
+    let hs = hand_server();
+    hs.cache_an_idle_s();
+    let name = lock_name(PAGE);
+    let call = |msg| hs.endpoint.call(hs.client.node(), msg, WAIT).unwrap();
+    assert_eq!(
+        call(Msg::CallbackDowngrade {
+            name,
+            to: LockMode::S
+        }),
+        Msg::CallbackReleased
+    );
+    assert_eq!(hs.client.lock_cache().images(), 1);
+    assert_eq!(call(Msg::Callback { name }), Msg::CallbackReleased);
+    assert_eq!(hs.client.lock_cache().images(), 0);
+    hs.hang_up();
+}
+
+/// An object- or segment-level callback on a page drops that page's image,
+/// whatever happens to the lock it names.
+#[test]
+fn object_and_segment_callbacks_drop_the_pages_image() {
+    let hs = hand_server();
+    let call = |msg| hs.endpoint.call(hs.client.node(), msg, WAIT).unwrap();
+    for name in [
+        LockName::Object {
+            area: 0,
+            page: PAGE.page,
+            slot: 3,
+        },
+        LockName::Segment {
+            area: 0,
+            page: PAGE.page,
+        },
+    ] {
+        hs.cache_an_idle_s();
+        assert_eq!(hs.client.lock_cache().images(), 1);
+        assert_eq!(call(Msg::Callback { name }), Msg::CallbackReleased);
+        assert_eq!(hs.client.lock_cache().images(), 0);
+        assert_eq!(
+            hs.client.lock_cache().cached_mode(lock_name(PAGE)),
+            Some(LockMode::S),
+            "the page lock itself was not called back"
+        );
+        // Release it so the next round starts from nothing.
+        assert_eq!(
+            call(Msg::Callback {
+                name: lock_name(PAGE)
+            }),
+            Msg::CallbackReleased
+        );
+    }
+    hs.hang_up();
+}

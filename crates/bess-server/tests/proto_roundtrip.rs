@@ -5,7 +5,7 @@
 //! on [`Msg::Commit`] / [`Msg::CommitGlobal`], and the sublinear-commit
 //! additions [`Msg::PrepareBatch`], [`Msg::VoteBatch`],
 //! [`Msg::DecideBatch`] and [`Msg::WithTrailers`]) — must satisfy
-//! `decode(encode(m)) == Ok(m)`. The strategy below gives each of the 35
+//! `decode(encode(m)) == Ok(m)`. The strategy below gives each of the 36
 //! variants equal weight so a few hundred cases exercise all of them many
 //! times over.
 
@@ -156,6 +156,9 @@ fn msg_strategy() -> impl Strategy<Value = Msg> {
         // ---- piggybacked control traffic -------------------------------
         (leaf_msg_strategy(), prop::collection::vec(leaf_msg_strategy(), 0..3))
             .prop_map(|(msg, trailers)| Msg::WithTrailers { msg: Box::new(msg), trailers }),
+        // ---- lease identity ---------------------------------------------
+        (any::<u64>(), leaf_msg_strategy())
+            .prop_map(|(lease, msg)| Msg::Leased { lease, msg: Box::new(msg) }),
     ]
 }
 
@@ -180,8 +183,9 @@ proptest! {
 }
 
 /// Deterministic spot-check that the strategy above really can emit every
-/// tag: decode must reject an unknown tag byte, and the highest known tag
-/// (WithTrailers = 40) must round-trip.
+/// tag: decode must reject an unknown tag byte, and the highest known tags
+/// (WithTrailers = 40, Leased = 41) must round-trip, one inside the other
+/// as a stamped frame with trailers travels.
 #[test]
 fn unknown_tag_is_rejected() {
     assert!(Msg::decode(&[200u8]).is_err());
@@ -190,7 +194,13 @@ fn unknown_tag_is_rejected() {
         msg: Box::new(Msg::DecisionPending),
         trailers: vec![Msg::Heartbeat, Msg::ReleaseAll],
     };
-    assert_eq!(Msg::decode(&wrapped.encode()), Ok(wrapped));
+    assert_eq!(Msg::decode(&wrapped.encode()), Ok(wrapped.clone()));
+    let stamped = Msg::Leased {
+        lease: 7,
+        msg: Box::new(wrapped),
+    };
+    assert_eq!(stamped.encode()[0], 41);
+    assert_eq!(Msg::decode(&stamped.encode()), Ok(stamped));
 }
 
 /// The wire format outlives the messages it once carried: the six retired

@@ -130,6 +130,24 @@ fn le_u32(b: &[u8]) -> u32 {
     u32::from_le_bytes(raw)
 }
 
+/// Whether the `(offset, bytes)` patches together cover every byte of a
+/// `page_size`-byte page.
+fn covers_page(patches: &[(usize, &[u8])], page_size: usize) -> bool {
+    let mut spans: Vec<(usize, usize)> = patches
+        .iter()
+        .map(|(offset, data)| (*offset, offset + data.len()))
+        .collect();
+    spans.sort_unstable();
+    let mut covered = 0;
+    for (start, end) in spans {
+        if start > covered {
+            return false;
+        }
+        covered = covered.max(end);
+    }
+    covered >= page_size
+}
+
 /// The area's seat on the async I/O runtime: an [`IoQueue`] with exactly
 /// one registered device. The legacy blocking entry points shim through
 /// one-element batches ([`IoQueue::run_one`]), so the device observes the
@@ -876,15 +894,38 @@ impl StorageArea {
     }
 
     /// Recovery sub-page write: patches `offset..offset+data.len()` of the
-    /// raw (unverified) slot and reseals it with `lsn`. WAL redo and undo
-    /// go through here — the slot they are repairing may be torn, so its
-    /// old checksum legitimately doesn't match; redo's after-images restore
-    /// the bytes and the reseal restores the header.
+    /// raw (unverified) slot and reseals it with `lsn`. WAL undo goes
+    /// through here — the slot it is repairing may be torn, so its old
+    /// checksum legitimately doesn't match; the images restore the bytes
+    /// and the reseal restores the header.
     pub fn restore_at(&self, page: u64, offset: usize, data: &[u8], lsn: u64) -> StorageResult<()> {
-        assert!(offset + data.len() <= self.config.page_size);
-        let mut slot = vec![0u8; PAGE_HDR + self.config.page_size];
-        self.read_slot_raw(page, &mut slot)?;
-        slot[PAGE_HDR + offset..PAGE_HDR + offset + data.len()].copy_from_slice(data);
+        self.restore_patches(page, &[(offset, data)], lsn)
+    }
+
+    /// Recovery write of a whole redo history for one page: one raw
+    /// (unverified) read, every `(offset, bytes)` patch applied in order,
+    /// one reseal with `lsn` and one write — what [`Self::restore_at`] per
+    /// patch would leave, for one read-modify-write instead of one per
+    /// patch. When the patches cover every byte of the page nothing of the
+    /// old slot survives, so the read is skipped too (as
+    /// [`Self::restore_page`] does).
+    pub fn restore_patches(
+        &self,
+        page: u64,
+        patches: &[(usize, &[u8])],
+        lsn: u64,
+    ) -> StorageResult<()> {
+        let page_size = self.config.page_size;
+        for (offset, data) in patches {
+            assert!(offset + data.len() <= page_size);
+        }
+        let mut slot = vec![0u8; PAGE_HDR + page_size];
+        if !covers_page(patches, page_size) {
+            self.read_slot_raw(page, &mut slot)?;
+        }
+        for (offset, data) in patches {
+            slot[PAGE_HDR + offset..PAGE_HDR + offset + data.len()].copy_from_slice(data);
+        }
         self.seal_and_write(page, lsn, &mut slot)
     }
 
@@ -1424,6 +1465,56 @@ mod tests {
     }
 
     #[test]
+    fn restore_patches_is_one_read_and_one_write_however_many_patches() {
+        let disk = FaultDisk::new(FaultPlan::unarmed());
+        let area =
+            StorageArea::create_faulty(AreaId(3), AreaConfig::default(), Arc::clone(&disk))
+                .unwrap();
+        let seg = area.alloc(1).unwrap();
+        let old = vec![0xAAu8; area.page_size()];
+        area.write_page(seg.start_page, &old).unwrap();
+        let ops = |plan: &FaultPlan| (plan.ops(OpClass::Read), plan.ops(OpClass::Write));
+
+        // Forty patches on one page.
+        let plan = FaultPlan::unarmed();
+        disk.arm(Arc::clone(&plan));
+        let images: Vec<[u8; 8]> = (0..40u8).map(|i| [i; 8]).collect();
+        let patches: Vec<(usize, &[u8])> = images
+            .iter()
+            .enumerate()
+            .map(|(i, image)| ((i % 25) * 16, &image[..]))
+            .collect();
+        area.restore_patches(seg.start_page, &patches, 9).unwrap();
+        assert_eq!(ops(&plan), (1, 1));
+        assert_eq!(area.verify_page(seg.start_page).unwrap(), 9);
+        let mut back = vec![0u8; area.page_size()];
+        area.read_page(seg.start_page, &mut back).unwrap();
+        assert_eq!(&back[0..8], &[25; 8], "the later patch at an offset wins");
+        assert_eq!(&back[8..16], &[0xAA; 8], "bytes no patch names survive");
+
+        // Patches that cover the page between them: nothing to read.
+        let plan = FaultPlan::unarmed();
+        disk.arm(Arc::clone(&plan));
+        let half = area.page_size() / 2;
+        let (lo, hi) = (vec![1u8; half + 3], vec![2u8; half]);
+        area.restore_patches(seg.start_page, &[(half, &hi), (0, &lo)], 10)
+            .unwrap();
+        assert_eq!(ops(&plan), (0, 1));
+        area.read_page(seg.start_page, &mut back).unwrap();
+        assert!(back[..half + 3].iter().all(|&b| b == 1) && back[half + 3..].iter().all(|&b| b == 2));
+
+        // One byte short of covering it: the read stays.
+        let plan = FaultPlan::unarmed();
+        disk.arm(Arc::clone(&plan));
+        area.restore_patches(seg.start_page, &[(1, &lo[..half - 1]), (half, &hi)], 11)
+            .unwrap();
+        assert_eq!(ops(&plan), (1, 1));
+        area.read_page(seg.start_page, &mut back).unwrap();
+        assert_eq!(back[0], 1, "the uncovered byte is the old one");
+        assert_eq!(area.verify_page(seg.start_page).unwrap(), 11);
+    }
+
+    #[test]
     fn verify_disabled_skips_checks_but_not_quarantine() {
         let config = AreaConfig {
             verify_on_read: false,
@@ -1448,5 +1539,61 @@ mod tests {
         assert_ne!(back, page);
         area.quarantine(seg.start_page);
         assert!(area.read_page(seg.start_page, &mut back).is_err());
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    const PAGE: usize = 256;
+
+    fn small_area() -> (StorageArea, u64) {
+        let config = AreaConfig {
+            page_size: PAGE,
+            extent_pages_log2: 2,
+            ..AreaConfig::default()
+        };
+        let area = StorageArea::create_mem(AreaId(0), config).unwrap();
+        let page = area.alloc(1).unwrap().start_page;
+        (area, page)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// One `restore_patches` leaves the bytes and the page LSN that
+        /// `restore_at` patch by patch leaves, whether or not the patches
+        /// cover the page (and so skip the read).
+        #[test]
+        fn restore_patches_equals_restore_at_in_order(
+            old in any::<u8>(),
+            patches in prop::collection::vec((0usize..PAGE, 1usize..PAGE + 1, any::<u8>()), 1..12),
+        ) {
+            let patches: Vec<(usize, Vec<u8>)> = patches
+                .into_iter()
+                .map(|(offset, len, byte)| (offset, vec![byte; len.min(PAGE - offset)]))
+                .collect();
+            let (serial, p) = small_area();
+            let (batched, q) = small_area();
+            prop_assert_eq!(p, q);
+            serial.write_page(p, &[old; PAGE]).unwrap();
+            batched.write_page(p, &[old; PAGE]).unwrap();
+
+            for (i, (offset, bytes)) in patches.iter().enumerate() {
+                serial.restore_at(p, *offset, bytes, 100 + i as u64).unwrap();
+            }
+            let parts: Vec<(usize, &[u8])> =
+                patches.iter().map(|(o, b)| (*o, b.as_slice())).collect();
+            batched
+                .restore_patches(p, &parts, 99 + patches.len() as u64)
+                .unwrap();
+
+            let (mut a, mut b) = (vec![0u8; PAGE], vec![0u8; PAGE]);
+            serial.read_page(p, &mut a).unwrap();
+            batched.read_page(p, &mut b).unwrap();
+            prop_assert_eq!(a, b);
+            prop_assert_eq!(serial.verify_page(p).unwrap(), batched.verify_page(p).unwrap());
+        }
     }
 }

@@ -51,6 +51,6 @@ pub use log::{
 pub use lsn::Lsn;
 pub use record::{LogBody, LogPageId, LogRecord, TxnStatus};
 pub use recovery::{
-    committed_page_lsns, reconstruct_page, recover, replay_all, take_checkpoint,
-    undo_transactions, MemTarget, RecoveryReport, RedoTarget,
+    begin_checkpoint, committed_page_lsns, end_checkpoint, reconstruct_page, recover, replay_all,
+    take_checkpoint, undo_transactions, MemTarget, RecoveryReport, RedoPatch, RedoTarget,
 };

@@ -276,6 +276,10 @@ pub struct WalStats {
     /// Flush calls that rode another thread's force instead of syncing
     /// themselves (`wal.group.followers`).
     pub group_followers: Counter,
+    /// Pages restart redo handed to its target, one read-modify-write each
+    /// (`wal.recovery.pages_restored`); `redone` records in the
+    /// [`crate::RecoveryReport`] over this is the coalescing factor.
+    pub recovery_pages_restored: Counter,
 }
 
 impl WalStats {
@@ -287,6 +291,7 @@ impl WalStats {
             reads: group.counter("reads"),
             group_leaders: group.counter("group.leaders"),
             group_followers: group.counter("group.followers"),
+            recovery_pages_restored: group.counter("recovery.pages_restored"),
         }
     }
 }

@@ -5,7 +5,12 @@
 //! 1. **Analysis** — from the last checkpoint, rebuild the active
 //!    transaction table (ATT) and dirty page table (DPT).
 //! 2. **Redo** — from the minimum recovery LSN in the DPT, re-apply the
-//!    after-images of updates and CLR images ("repeating history").
+//!    after-images of updates and CLR images ("repeating history"). The
+//!    scan buffers each dirty page's images in log order and hands the
+//!    target one page at a time ([`RedoTarget::redo_page`]), so a page
+//!    costs one read-modify-write however many records touched it. The
+//!    buffer is a bounded window (`REDO_WINDOW_BYTES`), emptied whenever
+//!    it fills and before undo starts.
 //! 3. **Undo** — roll back loser transactions newest-record-first, writing
 //!    compensation records (CLRs) chained with `undo_next` so undo itself
 //!    is idempotent across repeated crashes.
@@ -20,6 +25,23 @@ use std::collections::HashMap;
 use crate::log::{LogManager, WalError, WalResult, LOG_START};
 use crate::lsn::Lsn;
 use crate::record::{LogBody, LogPageId, TxnStatus};
+
+/// Bytes of redo images (plus bookkeeping) the redo scan buffers before it
+/// hands the buffered pages to the target: enough that a page rewritten
+/// throughout a long log is still restored only a few times, small beside
+/// the memory of the server being restarted.
+const REDO_WINDOW_BYTES: usize = 4 << 20;
+
+/// One buffered redo image: an update's after-image or a CLR's image.
+#[derive(Debug)]
+pub struct RedoPatch {
+    /// Byte offset within the page.
+    pub offset: u32,
+    /// The bytes to write there.
+    pub bytes: Vec<u8>,
+    /// The LSN of the record that logged them.
+    pub lsn: Lsn,
+}
 
 /// Where redo/undo images are applied: the buffer cache or storage layer.
 pub trait RedoTarget {
@@ -41,6 +63,51 @@ pub trait RedoTarget {
     ) -> Result<(), String> {
         let _ = lsn;
         self.apply(page, offset, bytes)
+    }
+
+    /// Redoes `page` from `patches`, which are in log order: the outcome
+    /// must be that of [`RedoTarget::apply_lsn`] on each in turn, the last
+    /// one's LSN ending up as the page's. Storage targets override this to
+    /// restore the page with one read and one write. An `Err` fails
+    /// recovery like one from `apply`.
+    fn redo_page(&mut self, page: LogPageId, patches: &[RedoPatch]) -> Result<(), String> {
+        for p in patches {
+            self.apply_lsn(page, p.offset, &p.bytes, p.lsn)?;
+        }
+        Ok(())
+    }
+}
+
+/// The redo scan's buffer: the images of each dirty page in log order,
+/// pages in the order the scan first met them.
+#[derive(Default)]
+struct RedoWindow {
+    pages: Vec<(LogPageId, Vec<RedoPatch>)>,
+    index: HashMap<LogPageId, usize>,
+    bytes: usize,
+}
+
+impl RedoWindow {
+    fn push(&mut self, page: LogPageId, patch: RedoPatch) {
+        self.bytes += patch.bytes.len() + std::mem::size_of::<RedoPatch>();
+        let at = *self.index.entry(page).or_insert_with(|| {
+            self.pages.push((page, Vec::new()));
+            self.pages.len() - 1
+        });
+        self.pages[at].1.push(patch);
+    }
+
+    /// Hands every buffered page to `target` and empties the window.
+    fn flush(&mut self, log: &LogManager, target: &mut dyn RedoTarget) -> WalResult<()> {
+        for (page, patches) in self.pages.drain(..) {
+            target
+                .redo_page(page, &patches)
+                .map_err(WalError::RedoFailed)?;
+            log.stats().recovery_pages_restored.inc();
+        }
+        self.index.clear();
+        self.bytes = 0;
+        Ok(())
     }
 }
 
@@ -190,36 +257,43 @@ pub fn recover(log: &LogManager, target: &mut dyn RedoTarget) -> WalResult<Recov
     report.redo_start = redo_start;
     if !dpt.is_empty() {
         let mut redo = log.iter_from(redo_start);
+        let mut window = RedoWindow::default();
         for rec in redo.by_ref() {
-            match &rec.body {
+            let (page, offset, bytes) = match rec.body {
                 LogBody::Update {
                     page,
                     offset,
                     after,
                     ..
-                }
-                    if dpt.get(page).is_some_and(|&rl| rec.lsn >= rl) => {
-                        target
-                            .apply_lsn(*page, *offset, after, rec.lsn)
-                            .map_err(crate::log::WalError::RedoFailed)?;
-                        report.redone += 1;
-                    }
+                } => (page, offset, after),
                 LogBody::Clr {
                     page,
                     offset,
                     image,
                     ..
-                }
-                    if dpt.get(page).is_some_and(|&rl| rec.lsn >= rl) => {
-                        target
-                            .apply_lsn(*page, *offset, image, rec.lsn)
-                            .map_err(crate::log::WalError::RedoFailed)?;
-                        report.redone += 1;
-                    }
-                _ => {}
+                } => (page, offset, image),
+                _ => continue,
+            };
+            // Not dirty, or already on disk as of this record.
+            if dpt.get(&page).is_none_or(|&rl| rec.lsn < rl) {
+                continue;
+            }
+            window.push(
+                page,
+                RedoPatch {
+                    offset,
+                    bytes,
+                    lsn: rec.lsn,
+                },
+            );
+            report.redone += 1;
+            if window.bytes >= REDO_WINDOW_BYTES {
+                window.flush(log, target)?;
             }
         }
         redo.finish()?;
+        // Undo reads and rewrites these pages: history first.
+        window.flush(log, target)?;
     }
 
     // ---- Classify ------------------------------------------------------
@@ -359,7 +433,28 @@ pub fn take_checkpoint(
     dirty_pages: Vec<(LogPageId, Lsn)>,
     active_txns: Vec<(u64, Lsn, TxnStatus)>,
 ) -> WalResult<Lsn> {
-    let begin = log.append(0, Lsn::NULL, LogBody::CheckpointBegin);
+    let begin = begin_checkpoint(log);
+    end_checkpoint(log, begin, dirty_pages, active_txns)?;
+    Ok(begin)
+}
+
+/// First half of [`take_checkpoint`], for a caller that has work to do
+/// between the two records (making data pages durable): appends
+/// `CheckpointBegin` and returns its LSN. Restart analysis scans from
+/// here, so the tables passed to [`end_checkpoint`] need only describe
+/// what was logged *before* this record.
+pub fn begin_checkpoint(log: &LogManager) -> Lsn {
+    log.append(0, Lsn::NULL, LogBody::CheckpointBegin)
+}
+
+/// Second half of [`take_checkpoint`]: logs the tables, flushes, and
+/// durably points the master record at `begin`.
+pub fn end_checkpoint(
+    log: &LogManager,
+    begin: Lsn,
+    dirty_pages: Vec<(LogPageId, Lsn)>,
+    active_txns: Vec<(u64, Lsn, TxnStatus)>,
+) -> WalResult<()> {
     let end = log.append(
         0,
         begin,
@@ -369,8 +464,7 @@ pub fn take_checkpoint(
         },
     );
     log.flush(end)?;
-    log.set_master(begin)?;
-    Ok(begin)
+    log.set_master(begin)
 }
 
 /// Convenience for tests: the latest state of `page` after applying a
@@ -774,6 +868,104 @@ mod tests {
             reconstruct_page(&log, page(5), 16).unwrap().is_none(),
             "a page with no committed history cannot be vouched for"
         );
+    }
+
+    /// Records what recovery asked of it, in order.
+    #[derive(Default)]
+    struct Recorder {
+        mem: MemTarget,
+        /// `(page, LSNs of the patches)` per `redo_page` call.
+        redo_calls: Vec<(LogPageId, Vec<Lsn>)>,
+        /// `(page, lsn)` per `apply_lsn` call that did not come from redo.
+        undo_calls: Vec<(LogPageId, Lsn)>,
+    }
+
+    impl RedoTarget for Recorder {
+        fn apply(&mut self, page: LogPageId, offset: u32, bytes: &[u8]) -> Result<(), String> {
+            self.mem.apply(page, offset, bytes)
+        }
+
+        fn apply_lsn(
+            &mut self,
+            page: LogPageId,
+            offset: u32,
+            bytes: &[u8],
+            lsn: Lsn,
+        ) -> Result<(), String> {
+            self.undo_calls.push((page, lsn));
+            self.mem.apply(page, offset, bytes)
+        }
+
+        fn redo_page(&mut self, page: LogPageId, patches: &[RedoPatch]) -> Result<(), String> {
+            self.redo_calls
+                .push((page, patches.iter().map(|p| p.lsn).collect()));
+            for p in patches {
+                self.mem.apply(page, p.offset, &p.bytes)?;
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn redo_hands_over_each_page_once_in_log_order_before_undo() {
+        let log = LogManager::create_mem();
+        let mut cache = MemTarget::default();
+        run_txn(&log, &mut cache, 1, &[(1, 0, 7), (2, 0, 8), (1, 7, 9)], true, true);
+        run_txn(&log, &mut cache, 2, &[(2, 8, 3), (3, 0, 4)], false, true); // loser
+
+        let crashed = log.simulate_crash().unwrap();
+        let mut disk = Recorder::default();
+        let report = recover(&crashed, &mut disk).unwrap();
+        assert_eq!(report.redone, 5);
+        assert_eq!(crashed.stats().recovery_pages_restored.get(), 3);
+        // One call per page, pages as the scan met them, patches in LSN order.
+        let pages: Vec<u64> = disk.redo_calls.iter().map(|(p, _)| p.page).collect();
+        assert_eq!(pages, vec![1, 2, 3]);
+        for (_, lsns) in &disk.redo_calls {
+            assert!(lsns.windows(2).all(|w| w[0] < w[1]), "{lsns:?}");
+        }
+        assert_eq!(disk.redo_calls[0].1.len(), 2);
+        // Undo ran afterwards, through `apply_lsn`, newest first.
+        let undone: Vec<u64> = disk.undo_calls.iter().map(|(p, _)| p.page).collect();
+        assert_eq!(undone, vec![3, 2]);
+        assert_eq!(disk.mem.pages[&page(1)][0], 9);
+        assert_eq!(disk.mem.pages[&page(2)][0], 8, "loser rolled back to txn 1's value");
+        assert_eq!(disk.mem.pages[&page(3)][0], 0);
+    }
+
+    #[test]
+    fn redo_window_is_bounded() {
+        // More after-image bytes on one page than the window holds: the
+        // page is handed over more than once, in order, and ends up right.
+        let log = LogManager::create_mem();
+        let image = 4096;
+        let records = REDO_WINDOW_BYTES / image + 10;
+        let mut prev = log.append(1, Lsn::NULL, LogBody::Begin);
+        for i in 0..records {
+            prev = log.append(
+                1,
+                prev,
+                LogBody::Update {
+                    page: page(1),
+                    offset: 0,
+                    before: vec![0; image],
+                    after: vec![(i % 251) as u8; image],
+                },
+            );
+        }
+        let commit = log.append(1, prev, LogBody::Commit);
+        log.flush(commit).unwrap();
+
+        let crashed = log.simulate_crash().unwrap();
+        let mut disk = Recorder::default();
+        let report = recover(&crashed, &mut disk).unwrap();
+        assert_eq!(report.redone, records as u64);
+        assert_eq!(disk.redo_calls.len(), 2, "one full window, then the rest");
+        let most = disk.redo_calls.iter().map(|(_, l)| l.len()).max().unwrap();
+        assert!(most * image <= REDO_WINDOW_BYTES, "{most} images buffered");
+        let lsns: Vec<Lsn> = disk.redo_calls.iter().flat_map(|(_, l)| l.clone()).collect();
+        assert!(lsns.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(disk.mem.pages[&page(1)], vec![((records - 1) % 251) as u8; image]);
     }
 
     #[test]

@@ -562,6 +562,10 @@ fn area_sync_fault_sweep() {
 // crash and a clean recovery must still converge to the oracle.
 // ---------------------------------------------------------------------------
 
+/// Area writes the redo pass of a fault-free recovery issues: one per dirty
+/// page, whatever the number of records redone onto it.
+const REDO_WRITES: u64 = 2;
+
 /// Runs the fault-free workload, crashes, then attempts recovery with
 /// `(class, nth, kind)` armed on one disk. Returns `(fired, first attempt
 /// succeeded)` after verifying the follow-up clean recovery.
@@ -660,11 +664,12 @@ fn recovery_area_read_eio_absorbed_by_retry() {
 /// bounded by `undo_next`.
 #[test]
 fn recovery_crash_during_redo_and_undo_sweep() {
-    // Fault-free recovery issues 6 redo writes then 1 undo write (t6's
-    // before-image); nth = 6 therefore dies mid-undo.
+    // Fault-free recovery redoes six records, coalesced into one write per
+    // dirty page (B, then C), then issues 1 undo write (t6's before-image);
+    // nth = REDO_WRITES therefore dies mid-undo.
     let mut fired = 0;
     let mut failed_attempts = 0;
-    for nth in 0..7u64 {
+    for nth in 0..=REDO_WRITES {
         let (f, ok) = run_recovery_fault_case(Target::Area, OpClass::Write, nth, FaultKind::Crash);
         if f {
             fired += 1;
@@ -673,11 +678,19 @@ fn recovery_crash_during_redo_and_undo_sweep() {
             }
         }
     }
-    assert_eq!(fired, 7, "every recovery-time area write must be exercised");
     assert_eq!(
-        failed_attempts, 7,
+        fired,
+        REDO_WRITES + 1,
+        "every recovery-time area write must be exercised"
+    );
+    assert_eq!(
+        failed_attempts,
+        REDO_WRITES + 1,
         "a crashed apply must surface as a recovery error"
     );
+    let (f, ok) =
+        run_recovery_fault_case(Target::Area, OpClass::Write, REDO_WRITES + 1, FaultKind::Crash);
+    assert!(!f && ok, "recovery issued an area write the sweep does not cover");
 }
 
 /// The final log flush of recovery (the one making CLRs durable) dies;
@@ -752,10 +765,10 @@ fn repeated_crash_mid_undo_converges() {
     rig.log_disk.crash();
 
     // Three consecutive recovery attempts, each dying at the undo write
-    // (area write nth=6 — after the 6 redo writes).
+    // (the area write after the redo writes).
     for attempt in 0..3 {
         rig.area_disk
-            .reopen(FaultPlan::armed(OpClass::Write, 6, FaultKind::Crash));
+            .reopen(FaultPlan::armed(OpClass::Write, REDO_WRITES, FaultKind::Crash));
         rig.log_disk.reopen(FaultPlan::unarmed());
         let area = StorageArea::open_faulty(AreaId(0), Arc::clone(&rig.area_disk), true).unwrap();
         let set = AreaSet::new();

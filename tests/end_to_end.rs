@@ -203,13 +203,17 @@ fn server_crash_preserves_committed_transfers() {
     // there), then the server crashes and restarts.
     let db_c = Database::open(&*set, 0).unwrap();
     let conn = ClientConn::connect(&net, Arc::clone(&dir), ClientConfig::new(NodeId(1), NodeId(100)));
-    let s = Session::remote(db_c, conn, SessionConfig::default());
+    let s = Session::remote(db_c, Arc::clone(&conn), SessionConfig::default());
     s.begin().unwrap();
     let alice: Ref<Account> = s.root("alice").unwrap().unwrap();
     let mut a = s.get(alice).unwrap();
     a.balance -= 123;
     s.put(alice, &a).unwrap();
     s.commit().unwrap();
+    // The session's private pool is its data cache: the connection under
+    // it caches the locks, and no page images beside the pool's frames.
+    assert!(!conn.lock_cache().is_empty());
+    assert_eq!(conn.lock_cache().images(), 0);
 
     // Crash the server process: keep the flushed log, restart over the
     // same storage areas.

@@ -69,6 +69,8 @@ const EMBEDDED_GOLDEN: &[&str] = &[
     "wal.group.leaders",
     "wal.group.followers",
     "wal.group.size",
+    // Restart redo, one read-modify-write per page (PR 13).
+    "wal.recovery.pages_restored",
     // LockStats (bess-lock manager)
     "lock.requests",
     "lock.immediate",
@@ -93,6 +95,7 @@ const SERVER_GOLDEN: &[&str] = &[
     "server.prepares",
     "server.coordinated",
     "server.leases_expired",
+    "server.lease_lost_rejections",
     "server.txns_reaped",
     "server.dedup_hits",
     "server.drain_rejections",
@@ -118,6 +121,7 @@ const SERVER_GOLDEN: &[&str] = &[
     "lock.requests",
     "wal.appends",
     "wal.group.size",
+    "wal.recovery.pages_restored",
     "storage.a0.page_reads",
 ];
 
@@ -133,6 +137,13 @@ const CLIENT_GOLDEN: &[&str] = &[
     "client.callbacks",
     "client.retries",
     "client.heartbeats",
+    "client.leases_lost",
+    // Page images kept on the cached page locks (PR 13); ImageStats lives
+    // in bess-lock, registered by the connection under its own prefix.
+    "client.page_cache.hits",
+    "client.page_cache.misses",
+    "client.page_cache.evictions",
+    "client.page_cache.invalidations",
     // LockCacheStats (bess-lock cache), adopted into the client registry.
     "lock.cache.hits",
     "lock.cache.misses",
