@@ -1043,11 +1043,11 @@ fn e20_obs_overhead(report: &mut JsonReport) {
 }
 
 // ---------------------------------------------------------------------------
-// E21 — group commit: multi-threaded commit throughput, per-commit forcing
-// vs the leader-elected batched log force.
+// E21 — group commit: multi-threaded commit throughput of the leader-elected
+// batched log force, beside the recorded per-commit-forcing figures.
 // ---------------------------------------------------------------------------
 fn e21_group_commit(report: &mut JsonReport) {
-    use bess_wal::{GroupCommitConfig, LogBody, LogManager, LogPageId, Lsn};
+    use bess_wal::{LogBody, LogManager, LogPageId, Lsn};
 
     println!("## E21 — group commit: batched log force vs per-commit fsync\n");
     // The memory backend charges a fixed latency per sync — the proxy for a
@@ -1055,11 +1055,21 @@ fn e21_group_commit(report: &mut JsonReport) {
     // fsync count.
     const SYNC_COST: Duration = Duration::from_micros(100);
     const COMMITS_PER_THREAD: u64 = 200;
+    // Per-commit forcing (one write + sync per `flush`, serialized under
+    // the log's state lock) is gone from the tree; its figures are the ones
+    // recorded in BENCH_report.json at commit 3f73e35, the last that could
+    // run it: (threads, commits/sec, fsyncs/commit). The throughput is that
+    // machine's and is printed for scale, not gated.
+    const SOLO: [(u64, f64, f64); 4] = [
+        (1, 5542.0, 1.000),
+        (4, 5779.0, 0.956),
+        (16, 5528.0, 0.932),
+        (64, 5527.0, 0.925),
+    ];
 
-    // One thread-count's run under one config; returns (tps, fsyncs/commit).
-    let run = |threads: u64, cfg: GroupCommitConfig| -> (f64, f64) {
+    // One thread-count's run; returns (tps, fsyncs/commit).
+    let run = |threads: u64| -> (f64, f64) {
         let log = Arc::new(LogManager::create_mem_slow(SYNC_COST));
-        log.set_group_commit(cfg);
         let barrier = Arc::new(std::sync::Barrier::new(threads as usize + 1));
         let workers: Vec<_> = (0..threads)
             .map(|t| {
@@ -1098,11 +1108,10 @@ fn e21_group_commit(report: &mut JsonReport) {
         (commits / secs, fsyncs / commits)
     };
 
-    println!("| threads | solo tps | group tps | speedup | solo fsync/commit | group fsync/commit |");
+    println!("| threads | recorded solo tps | group tps | speedup | recorded solo fsync/commit | group fsync/commit |");
     println!("|---|---|---|---|---|---|");
-    for threads in [1u64, 4, 16, 64] {
-        let (solo_tps, solo_ratio) = run(threads, GroupCommitConfig::disabled());
-        let (group_tps, group_ratio) = run(threads, GroupCommitConfig::default());
+    for (threads, solo_tps, solo_ratio) in SOLO {
+        let (group_tps, group_ratio) = run(threads);
         let speedup = group_tps / solo_tps;
         println!(
             "| {threads} | {solo_tps:.0} | {group_tps:.0} | {speedup:.2}x | \
@@ -1114,15 +1123,21 @@ fn e21_group_commit(report: &mut JsonReport) {
         report.num(sec, &format!("t{threads}.speedup"), speedup);
         report.num(sec, &format!("t{threads}.solo_fsyncs_per_commit"), solo_ratio);
         report.num(sec, &format!("t{threads}.group_fsyncs_per_commit"), group_ratio);
+        // Committers per sync is a count, not a speed: the one figure here
+        // that does not depend on the host.
+        assert!(
+            threads < 16 || group_ratio < 0.5,
+            "E21 gate: {group_ratio:.3} fsyncs/commit at {threads} threads (budget <0.5)"
+        );
     }
     report.text(
         "E21",
         "target",
-        ">=2x commit tps and <0.5 fsyncs/commit at 16+ threads",
+        "<0.5 fsyncs/commit at 16+ threads (gated); solo columns recorded at 3f73e35",
     );
     println!(
         "\n(fsync proxy: {}us charged per sync on the memory backend; \
-         solo = per-commit forcing, group = leader-elected batched force)\n",
+         solo = per-commit forcing as recorded, group = leader-elected batched force)\n",
         SYNC_COST.as_micros()
     );
 }

@@ -395,9 +395,11 @@ fn worker_loop(inner: &QueueInner) {
             {
                 let mut state = inner.state.lock();
                 state.running.retain(|(rid, _, _)| *rid != id);
+                // Under the guard that publishes the result: whoever sees
+                // the op done (`complete`, `drain`) sees it off the gauge.
+                inner.depth.sub(1);
                 state.done.insert(id, res);
             }
-            inner.depth.sub(1);
             inner.done_cv.notify_all();
             // A completed write-class op may unblock ops queued behind it.
             inner.work_cv.notify_all();

@@ -27,6 +27,7 @@ mod nodeserver;
 mod proto;
 mod scrub;
 mod server;
+mod upstream;
 
 pub use client::{
     ClientConfig, ClientConn, ClientError, ClientOpts, ClientResult,

@@ -914,7 +914,7 @@ impl ServerInner {
             let mut leases = self.leases.lock();
             let lease = leases.entry(from.0).or_insert_with(|| Lease {
                 renewed: now,
-                id: crate::client::fresh_incarnation(),
+                id: crate::upstream::fresh_incarnation(),
             });
             lease.renewed = now;
             lease.id

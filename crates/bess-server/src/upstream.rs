@@ -1,0 +1,751 @@
+//! The upstream connection: what a node does *towards the owning servers*.
+//!
+//! "Each BeSS node server is a client of the BeSS servers that acts as a
+//! server for the local applications" (§3) — so the client half exists
+//! once, here, under both [`crate::ClientConn`] and [`crate::NodeServer`].
+//! Every method takes the transaction explicitly: an [`Upstream`] does not
+//! know whether one transaction or many are open above it, nor where the
+//! pages it locks are kept. What *purging* a released name means, where
+//! the traffic is counted and whether requests carry a lease stamp are
+//! fixed by the owner when it builds the upstream.
+
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
+
+use bess_cache::DbPage;
+use bess_lock::{CacheDecision, CallbackResponse, LockCache, LockMode, LockName, TxnId};
+use bess_net::{Caller, NetError, NetStats, NodeId};
+use bess_obs::Counter;
+use parking_lot::Mutex;
+
+use crate::client::{ClientError, ClientResult};
+use crate::directory::Directory;
+use crate::proto::{GTxn, Msg, PageUpdate, LEASE_LOST};
+
+/// Retries per RPC, and the base delay of their backoff, where the owner's
+/// configuration does not say.
+pub(crate) const MAX_RETRIES: u32 = 3;
+pub(crate) const RETRY_BASE: Duration = Duration::from_millis(10);
+
+/// What the owner does with a name whose lock went back to its server.
+pub(crate) type Purge = Box<dyn Fn(LockName) + Send + Sync>;
+
+/// Where the owner counts the upstream's traffic: handles from its own
+/// [`bess_obs`] group (the default: unregistered, for what it does not
+/// report). Lock requests are hits in the lock cache or RPCs.
+#[derive(Default)]
+pub(crate) struct UpstreamCounters {
+    pub lock_hits: Counter,
+    pub lock_rpcs: Counter,
+    pub callbacks: Counter,
+    pub retries: Counter,
+    pub heartbeats: Counter,
+    pub leases_lost: Counter,
+}
+
+/// The fixed facts of one upstream connection (the fields of the same
+/// name in [`crate::ClientConfig`] say more).
+pub(crate) struct UpstreamConfig {
+    pub node: NodeId,
+    /// The 2PC coordinator for this node's distributed commits and the
+    /// owner of its `Database`/`File` lock names. `None`: the
+    /// lowest-numbered server of the directory, looked up at first need.
+    pub home: Option<NodeId>,
+    pub gateway: Option<NodeId>,
+    pub rpc_timeout: Duration,
+    pub heartbeat_interval: Duration,
+    pub max_retries: u32,
+    pub retry_base: Duration,
+    /// Whether requests carry the lease they rely on ([`Msg::Leased`]):
+    /// true exactly for a connection that serves page images.
+    pub stamps: bool,
+}
+
+/// Incarnation source for request ids. Every upstream — a client's or a
+/// node server's — draws a distinct value, so a process that crashes and
+/// reconnects under the same [`NodeId`] issues request ids disjoint from
+/// its previous life and cannot be answered from the server's dedup window
+/// with a dead incarnation's recorded reply. Starts at 1 so an id built
+/// from it is never 0 (`req == 0` opts out of deduplication). The network
+/// is in-process, so a process-wide counter covers every reconnect the
+/// fault matrix can produce — deterministically, with no randomness.
+// LINT: allow(raw-counter) — process-wide incarnation-id allocator, not a metric
+static NEXT_INCARNATION: AtomicU64 = AtomicU64::new(1);
+
+/// Draws a fresh incarnation (servers also draw their lease ids here).
+pub(crate) fn fresh_incarnation() -> u64 {
+    NEXT_INCARNATION.fetch_add(1, Ordering::Relaxed)
+}
+
+/// Capped exponential backoff with deterministic jitter: `base << attempt`
+/// clamped to 500ms, spread by a hash of `(node, attempt)` so retrying
+/// clients don't stampede in lockstep — with no randomness, so fault
+/// schedules stay reproducible.
+fn backoff_delay(base: Duration, attempt: u32, node: u32) -> Duration {
+    let shift = attempt.saturating_sub(1).min(6);
+    let capped = base
+        .saturating_mul(1u32 << shift)
+        .min(Duration::from_millis(500));
+    let mut h = (u64::from(node) << 32) | u64::from(attempt);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    // LINT: allow(cast) — capped at 500ms, far below u64 microseconds.
+    let jitter_us = h % ((capped.as_micros() as u64) / 4 + 1);
+    capped + Duration::from_micros(jitter_us)
+}
+
+/// The name of `page`'s page lock.
+pub(crate) fn page_lock(page: DbPage) -> LockName {
+    LockName::Page {
+        area: page.area,
+        page: page.page,
+    }
+}
+
+/// The error a reply that is not the expected answer stands for.
+pub(crate) fn refusal(reply: Msg) -> ClientError {
+    match reply {
+        Msg::Denied(m) => ClientError::Denied(m),
+        Msg::Err(e) => ClientError::Server(e),
+        other => ClientError::Server(format!("bad reply {other:?}")),
+    }
+}
+
+/// What an upstream keeps track of, behind one guard that is never held
+/// across a message.
+#[derive(Default)]
+struct State {
+    /// Lock requests sent and not yet answered — counted, because a node
+    /// server's local transactions can ask for one name at the same time
+    /// (see [`Upstream::defer_if_in_flight`]).
+    in_flight: HashMap<LockName, usize>,
+    /// The names of those such a callback came for. Under the guard of
+    /// `in_flight`, so a finishing request either sees the race recorded
+    /// or the callback sees the request finished.
+    raced: HashSet<LockName>,
+    /// Prefetched global transaction ids: each `CommitGlobal` frame carries
+    /// a `BeginGlobal` trailer whose `TxnId` reply refills the pool, so the
+    /// next distributed commit skips the explicit `BeginGlobal` round trip.
+    gtxn_pool: Vec<GTxn>,
+    /// Servers a request went to (since the last [`Upstream::release_all`]).
+    touched: HashSet<NodeId>,
+    /// Servers whose read-only 2PC vote already released this node's locks
+    /// ([`Shipment::TwoPhase`]'s readers); `release_all` skips them.
+    released_by_vote: HashSet<NodeId>,
+    /// Servers owed a `ReleaseAll` (`release_all`), with the time the debt
+    /// was incurred; paid as a trailer on the next message there, or
+    /// flushed by [`Upstream::tick`] once it has waited a heartbeat
+    /// interval without finding a carrier.
+    release_debts: HashMap<NodeId, Instant>,
+    /// Last time any message went to each server. A standalone heartbeat is
+    /// suppressed when real traffic already renewed the lease within the
+    /// heartbeat interval.
+    last_sent: HashMap<NodeId, Instant>,
+    /// The lease id each server last stamped a reply with (see
+    /// [`Msg::Leased`]). The locks and images kept between transactions
+    /// are only as good as these leases.
+    leases: HashMap<NodeId, u64>,
+}
+
+/// A transaction's page updates, routed (see [`Upstream::route`]).
+pub(crate) enum Shipment {
+    /// No updates: nothing is sent.
+    Nothing,
+    /// One owner and nobody else to enrol: the one-message `Commit`.
+    OneOwner(NodeId, Vec<PageUpdate>),
+    /// Two-phase commit through the home server: each write owner's
+    /// updates by ascending node, and the touched servers that own none,
+    /// enrolled so their read-only vote releases this node's locks there.
+    TwoPhase {
+        branches: Vec<(u32, Vec<PageUpdate>)>,
+        readers: Vec<u32>,
+        release_read_locks: bool,
+    },
+}
+
+/// One node's connection to the servers that own the data.
+pub(crate) struct Upstream {
+    cfg: UpstreamConfig,
+    home: OnceLock<NodeId>,
+    dir: Arc<Directory>,
+    caller: Caller<Msg>,
+    lock_cache: Arc<LockCache>,
+    purge: Purge,
+    counters: UpstreamCounters,
+    /// Folded into the high bits of every request id (the server's dedup
+    /// window is keyed on `(node, req)`); see [`NEXT_INCARNATION`].
+    incarnation: u64,
+    /// Low-bits request counter for the non-idempotent messages (commits);
+    /// see [`Self::fresh_req`].
+    // LINT: allow(raw-counter) — request-id allocator for idempotent retry, not a metric
+    next_req: AtomicU64,
+    state: Mutex<State>,
+    last_heartbeat: Mutex<Instant>,
+    /// Leases found lost so far (see [`Self::lease_epoch`]).
+    // LINT: allow(raw-counter) — an epoch compared for equality, not a metric
+    lease_epoch: AtomicU64,
+}
+
+impl Upstream {
+    pub(crate) fn new(
+        cfg: UpstreamConfig,
+        dir: Arc<Directory>,
+        caller: Caller<Msg>,
+        lock_cache: Arc<LockCache>,
+        purge: Purge,
+        counters: UpstreamCounters,
+    ) -> Upstream {
+        Upstream {
+            home: cfg.home.map(OnceLock::from).unwrap_or_default(),
+            cfg,
+            dir,
+            caller,
+            lock_cache,
+            purge,
+            counters,
+            incarnation: fresh_incarnation(),
+            next_req: AtomicU64::new(1),
+            state: Mutex::default(),
+            last_heartbeat: Mutex::new(Instant::now()),
+            lease_epoch: AtomicU64::new(0),
+        }
+    }
+
+    /// The cache of locks the owning servers granted this node.
+    pub(crate) fn lock_cache(&self) -> &Arc<LockCache> {
+        &self.lock_cache
+    }
+
+    pub(crate) fn net_stats(&self) -> &NetStats {
+        self.caller.stats()
+    }
+
+    /// The home server; once looked up it never changes, so a name locked
+    /// there is released there.
+    pub(crate) fn home(&self) -> ClientResult<NodeId> {
+        if let Some(h) = self.home.get() {
+            return Ok(*h);
+        }
+        let first = self.dir.servers().first().copied();
+        let first = first.ok_or_else(|| ClientError::Server("no servers known".into()))?;
+        Ok(*self.home.get_or_init(|| first))
+    }
+
+    /// The server to ask about `area`.
+    pub(crate) fn owner_of(&self, area: u32) -> ClientResult<NodeId> {
+        if let Some(gw) = self.cfg.gateway {
+            return Ok(gw);
+        }
+        self.dir.owner(area).ok_or(ClientError::NoOwner(area))
+    }
+
+    fn owner_of_name(&self, name: &LockName) -> ClientResult<NodeId> {
+        match name {
+            LockName::Page { area, .. }
+            | LockName::Segment { area, .. }
+            | LockName::Object { area, .. } => self.owner_of(*area),
+            LockName::Database(_) | LockName::File { .. } => {
+                self.cfg.gateway.map_or_else(|| self.home(), Ok)
+            }
+        }
+    }
+
+    /// One unstamped, unretried call, for an idempotent release on the way
+    /// out of a transaction or of the network.
+    fn call_once(&self, to: NodeId, msg: Msg) -> Result<Msg, NetError> {
+        self.state.lock().last_sent.insert(to, Instant::now());
+        self.caller.call(to, msg, self.cfg.rpc_timeout)
+    }
+
+    /// Stamps `msg` with the lease this node believes it holds at `to`
+    /// (see [`Msg::Leased`]). What is kept between transactions is only
+    /// valid under the lease it was granted under, so only a connection
+    /// that serves from what it keeps stamps.
+    fn stamp(&self, to: NodeId, msg: Msg) -> Msg {
+        if !self.cfg.stamps {
+            return msg;
+        }
+        Msg::Leased {
+            lease: self.state.lock().leases.get(&to).copied().unwrap_or(0),
+            msg: Box::new(msg),
+        }
+    }
+
+    /// A fresh request id for a non-idempotent RPC: incarnation in the
+    /// high 32 bits, sequence in the low 32. The incarnation is nonzero,
+    /// so the id is never the `req == 0` opt-out.
+    fn fresh_req(&self) -> u64 {
+        let seq = self.next_req.fetch_add(1, Ordering::Relaxed);
+        ((self.incarnation & 0xFFFF_FFFF) << 32) | (seq & 0xFFFF_FFFF)
+    }
+
+    /// Sends one RPC, retrying transient transport failures with capped
+    /// exponential backoff. Only requests that are idempotent (reads,
+    /// locks, releases, raw I/O replays) or deduplicated by the server
+    /// (commits, which carry a request id) are retried. `AllocSegment` and
+    /// `FreeSegment` are neither, so they fail fast: a retried alloc whose
+    /// first delivery executed leaks a segment, and a retried free can free
+    /// a segment another client was handed in the meantime.
+    ///
+    /// `in_txn`: the caller has a transaction open (see the refusal below).
+    pub(crate) fn rpc(&self, to: NodeId, msg: Msg, in_txn: bool) -> ClientResult<Msg> {
+        self.rpc_with_trailers(to, msg, Vec::new(), in_txn)
+    }
+
+    /// [`Self::rpc`] with caller-supplied trailers riding the same frame
+    /// (any `ReleaseAll` debt for `to` joins them).
+    fn rpc_with_trailers(
+        &self,
+        to: NodeId,
+        msg: Msg,
+        mut trailers: Vec<Msg>,
+        in_txn: bool,
+    ) -> ClientResult<Msg> {
+        let retryable = !matches!(msg, Msg::AllocSegment { .. } | Msg::FreeSegment { .. });
+        let owes_release = {
+            let mut state = self.state.lock();
+            state.touched.insert(to);
+            // Feeds heartbeat suppression.
+            state.last_sent.insert(to, Instant::now());
+            state.release_debts.remove(&to).is_some()
+        };
+        // Piggyback any control debt for this server on the frame. A
+        // retried frame re-runs non-deduplicated trailers server-side;
+        // everything we attach here (`ReleaseAll`) is idempotent, and
+        // deduplicated carriers never re-run their trailers at all.
+        if owes_release {
+            trailers.push(Msg::ReleaseAll);
+        }
+        let msg = Msg::with_trailers(msg, trailers);
+        let mut attempt = 0u32;
+        let mut asked_again = false;
+        loop {
+            match self.caller.call(to, self.stamp(to, msg.clone()), self.cfg.rpc_timeout) {
+                Ok(reply) => {
+                    let reply = self.absorb_reply(to, reply);
+                    // Refused unexecuted: the stamp named a lease the
+                    // server no longer has. Outside a transaction nothing
+                    // was read under it, so ask again (once) under the new
+                    // one; inside one, the refusal is the answer and the
+                    // transaction will not commit.
+                    let refused = matches!(&reply, Msg::Err(e) if e == LEASE_LOST);
+                    if refused && !asked_again && !in_txn {
+                        asked_again = true;
+                        continue;
+                    }
+                    return Ok(reply);
+                }
+                Err(e) if retryable && e.is_transient() && attempt < self.cfg.max_retries => {
+                    attempt += 1;
+                    self.counters.retries.inc();
+                    std::thread::sleep(backoff_delay(
+                        self.cfg.retry_base,
+                        attempt,
+                        self.cfg.node.0,
+                    ));
+                }
+                Err(e) => return Err(e.into()),
+            }
+        }
+    }
+
+    /// Absorbs what rides on a reply from `from` besides the answer — a
+    /// new lease id, trailers (gtxn-pool refills) — and returns the
+    /// carrier reply.
+    fn absorb_reply(&self, from: NodeId, mut reply: Msg) -> Msg {
+        if let Msg::Leased { lease, msg } = reply {
+            self.note_lease(from, lease);
+            reply = *msg;
+        }
+        if let Msg::WithTrailers { msg, trailers } = reply {
+            self.net_stats().trailers.add(trailers.len() as u64);
+            let ids = trailers.into_iter().filter_map(|t| match t {
+                Msg::TxnId(g) => Some(g),
+                _ => None,
+            });
+            self.state.lock().gtxn_pool.extend(ids);
+            reply = *msg;
+        }
+        reply
+    }
+
+    /// Records that `server` now knows this node under `lease`. If that
+    /// replaces another lease, every grant under the old one is gone.
+    fn note_lease(&self, server: NodeId, lease: u64) {
+        let known = self.state.lock().leases.insert(server, lease);
+        if known.is_some_and(|k| k != lease) {
+            self.forget_grants();
+        }
+    }
+
+    /// A server dropped this node's grants without a callback (its lease
+    /// ran out, or the server restarted): nothing kept between
+    /// transactions can be trusted, so every cached lock goes, and with it
+    /// its image and the owner's copy of the page. Locks of other servers
+    /// go too — they are re-requested on next use, and a callback for one
+    /// of them is answered "released".
+    fn forget_grants(&self) {
+        self.counters.leases_lost.inc();
+        self.lease_epoch.fetch_add(1, Ordering::SeqCst);
+        for name in self.lock_cache.clear() {
+            (self.purge)(name);
+        }
+    }
+
+    /// Leases found lost so far. A transaction during which this moves may
+    /// have read under a grant that was already gone.
+    pub(crate) fn lease_epoch(&self) -> u64 {
+        self.lease_epoch.load(Ordering::SeqCst)
+    }
+
+    /// Acquires `mode` on `name` for `txn`, consulting the lock cache first
+    /// (§3: "data and locks accessed by a transaction remain cached on the
+    /// client").
+    pub(crate) fn lock(&self, txn: TxnId, name: LockName, mode: LockMode) -> ClientResult<()> {
+        match self.lock_cache.acquire(txn, name, mode) {
+            CacheDecision::Hit => {
+                self.counters.lock_hits.inc();
+                Ok(())
+            }
+            CacheDecision::Miss { need } => {
+                self.counters.lock_rpcs.inc();
+                let owner = self.owner_of_name(&name)?;
+                let request = Msg::Lock { name, mode: need };
+                let granted = |reply: &Msg| *reply == Msg::Granted;
+                self.request_grant(txn, name, need, owner, request, granted).map(drop)
+            }
+        }
+    }
+
+    /// The lock-cache miss of a page fetch: asks the owner for `need` on
+    /// `page`'s lock and the page with it, in one message.
+    pub(crate) fn fetch_page(&self, txn: TxnId, page: DbPage, need: LockMode) -> ClientResult<Vec<u8>> {
+        let owner = self.owner_of(page.area)?;
+        let request = Msg::FetchPage { page, mode: need };
+        let granted = |reply: &Msg| matches!(reply, Msg::PageData(_));
+        match self.request_grant(txn, page_lock(page), need, owner, request, granted)? {
+            Msg::PageData(data) => Ok(data),
+            other => Err(refusal(other)),
+        }
+    }
+
+    /// Sends `request` for `need` on `name` and, if the answer is the one
+    /// that `granted` it, records the grant — with the name in flight from
+    /// before the request leaves until the grant is in the cache.
+    fn request_grant(
+        &self,
+        txn: TxnId,
+        name: LockName,
+        need: LockMode,
+        owner: NodeId,
+        request: Msg,
+        granted: impl Fn(&Msg) -> bool,
+    ) -> ClientResult<Msg> {
+        *self.state.lock().in_flight.entry(name).or_insert(0) += 1;
+        let out = match self.rpc(owner, request, true) {
+            Ok(reply) if granted(&reply) => {
+                self.lock_cache.grant(txn, name, need);
+                Ok(reply)
+            }
+            Ok(other) => Err(refusal(other)),
+            Err(e) => Err(e),
+        };
+        // If a callback raced the request, mark the (now cached) lock for
+        // release when its users finish.
+        let mut guard = self.state.lock();
+        let state = &mut *guard;
+        let raced = state.raced.contains(&name);
+        if let Entry::Occupied(mut requests) = state.in_flight.entry(name) {
+            *requests.get_mut() -= 1;
+            if *requests.get() == 0 {
+                requests.remove();
+                state.raced.remove(&name);
+            }
+        }
+        drop(guard);
+        if raced {
+            self.lock_cache.mark_callback_pending(name);
+        }
+        out
+    }
+
+    /// Reads `page` from its owner; the lock is already held or cached.
+    pub(crate) fn read_page(&self, page: DbPage, in_txn: bool) -> ClientResult<Vec<u8>> {
+        let owner = self.owner_of(page.area)?;
+        match self.rpc(owner, Msg::ReadPage { page }, in_txn)? {
+            Msg::PageData(data) => Ok(data),
+            other => Err(refusal(other)),
+        }
+    }
+
+    /// Decides how `updates` reach their owners: grouped by owning server;
+    /// several owners mean two-phase commit through the home server (§3).
+    /// A single write owner normally takes the one-message fast path; with
+    /// `release_read_locks`, a transaction that also *read* from other
+    /// servers goes through 2PC anyway, so those servers join the round as
+    /// read-only participants and shed this node's locks at phase 1
+    /// instead of waiting for a `ReleaseAll`.
+    pub(crate) fn route(
+        &self,
+        updates: Vec<PageUpdate>,
+        release_read_locks: bool,
+    ) -> ClientResult<Shipment> {
+        let mut by_owner: HashMap<NodeId, Vec<PageUpdate>> = HashMap::new();
+        for u in updates {
+            by_owner.entry(self.owner_of(u.page.area)?).or_default().push(u);
+        }
+        let mut readers: Vec<u32> = Vec::new();
+        if release_read_locks {
+            let state = self.state.lock();
+            readers.extend(state.touched.iter().filter(|s| !by_owner.contains_key(s)).map(|s| s.0));
+        }
+        let mut branches: Vec<(u32, Vec<PageUpdate>)> =
+            by_owner.into_iter().map(|(owner, updates)| (owner.0, updates)).collect();
+        branches.sort_unstable_by_key(|(p, _)| *p);
+        Ok(match branches.pop() {
+            None => Shipment::Nothing,
+            Some((owner, updates)) if branches.is_empty() && readers.is_empty() => {
+                Shipment::OneOwner(NodeId(owner), updates)
+            }
+            Some(last) => {
+                branches.push(last);
+                Shipment::TwoPhase {
+                    branches,
+                    readers,
+                    release_read_locks,
+                }
+            }
+        })
+    }
+
+    /// Ships `txn`'s routed updates and returns the outcome: the owner's
+    /// answer to the `Commit`, or the coordinator's decision.
+    ///
+    /// Distributed commit: one `CommitGlobal` frame to the home server
+    /// carries every branch's write set (the coordinator stages its own and
+    /// forwards the rest inside each participant's phase-1 entry) plus a
+    /// `BeginGlobal` trailer that prefetches the next transaction's id.
+    /// Every reader joins the round so its read-only vote releases this
+    /// node's locks at phase 1.
+    pub(crate) fn ship(&self, txn: u64, shipment: Shipment) -> ClientResult<()> {
+        let (branches, readers, release_read_locks) = match shipment {
+            Shipment::Nothing => return Ok(()),
+            Shipment::OneOwner(owner, updates) => {
+                let req = self.fresh_req();
+                return match self.rpc(owner, Msg::Commit { txn, updates, req }, true)? {
+                    Msg::Ok => Ok(()),
+                    other => Err(refusal(other)),
+                };
+            }
+            Shipment::TwoPhase {
+                branches,
+                readers,
+                release_read_locks,
+            } => (branches, readers, release_read_locks),
+        };
+        let home = self.home()?;
+        // An empty pool (first commit, or a retried frame whose trailer
+        // reply was not replayed) falls back to the explicit round trip;
+        // a pool this commit empties is refilled by its trailer.
+        let (gtxn, refill) = {
+            let pool = &mut self.state.lock().gtxn_pool;
+            (pool.pop(), pool.is_empty())
+        };
+        let gtxn = match gtxn {
+            Some(g) => g,
+            None => match self.rpc(home, Msg::BeginGlobal, true)? {
+                Msg::TxnId(g) => g,
+                other => return Err(refusal(other)),
+            },
+        };
+        let mut participants: Vec<u32> =
+            branches.iter().map(|(p, _)| *p).chain(readers.iter().copied()).collect();
+        participants.sort_unstable();
+        let req = self.fresh_req();
+        let commit = Msg::CommitGlobal {
+            gtxn,
+            participants,
+            req,
+            release_read_locks,
+            branches,
+        };
+        let trailers = if refill { vec![Msg::BeginGlobal] } else { Vec::new() };
+        match self.rpc_with_trailers(home, commit, trailers, true)? {
+            Msg::Decision { committed } => {
+                // Phase 1 ran, whatever the outcome: the readers released
+                // this node's locks when they voted. Write participants
+                // keep its grants until the transaction ends.
+                self.state.lock().released_by_vote.extend(readers.into_iter().map(NodeId));
+                committed.then_some(()).ok_or(ClientError::GlobalAbort)
+            }
+            other => Err(refusal(other)),
+        }
+    }
+
+    /// Ends `txn`'s use of the cached locks. They stay cached, but for the
+    /// ones a deferred callback waits for: purged and handed back now.
+    pub(crate) fn release_finished(&self, txn: TxnId) {
+        let released = self.lock_cache.finish_txn(txn);
+        for name in &released {
+            (self.purge)(*name);
+        }
+        for (owner, names) in self.by_owner(released) {
+            let _ = self.rpc(owner, Msg::ReleaseCached { names }, false);
+        }
+    }
+
+    fn by_owner(&self, names: Vec<LockName>) -> HashMap<NodeId, Vec<LockName>> {
+        let mut by_owner: HashMap<NodeId, Vec<LockName>> = HashMap::new();
+        for name in names {
+            if let Ok(owner) = self.owner_of_name(&name) {
+                by_owner.entry(owner).or_default().push(name);
+            }
+        }
+        by_owner
+    }
+
+    /// Transaction-duration caching (§3): drops every cached lock and has
+    /// each server touched since the last call, but for those a read-only
+    /// vote already made, release this node's locks — told at once, or
+    /// with `defer` by a trailer on the next frame there ([`Self::tick`]
+    /// is the fallback carrier).
+    pub(crate) fn release_all(&self, defer: bool) {
+        self.lock_cache.clear();
+        let (touched, already) = {
+            let mut state = self.state.lock();
+            let touched: Vec<NodeId> = state.touched.drain().collect();
+            (touched, std::mem::take(&mut state.released_by_vote))
+        };
+        for server in touched.into_iter().filter(|s| !already.contains(s)) {
+            if defer {
+                self.state.lock().release_debts.entry(server).or_insert_with(Instant::now);
+            } else {
+                let _ = self.call_once(server, Msg::ReleaseAll);
+            }
+        }
+    }
+
+    /// Answers what an owning server sends unasked: callbacks, lease news.
+    pub(crate) fn on_message(&self, from: NodeId, msg: &Msg) -> Msg {
+        match msg {
+            // The server's answer to a heartbeat stamped with a lease it
+            // no longer has (a heartbeat is one-way: there is no reply for
+            // the news to ride on).
+            Msg::Leased { lease, .. } => {
+                self.note_lease(from, *lease);
+                Msg::Ok
+            }
+            Msg::Callback { name } => {
+                self.counters.callbacks.inc();
+                // Another client is about to change something on this
+                // page under an object or segment lock.
+                if let LockName::Object { area, page, .. } | LockName::Segment { area, page } =
+                    *name
+                {
+                    self.lock_cache.drop_image(LockName::Page { area, page });
+                }
+                if self.defer_if_in_flight(*name) {
+                    return Msg::CallbackDeferred;
+                }
+                match self.lock_cache.callback(*name) {
+                    CallbackResponse::Released | CallbackResponse::NotCached => {
+                        (self.purge)(*name);
+                        Msg::CallbackReleased
+                    }
+                    CallbackResponse::Deferred => Msg::CallbackDeferred,
+                }
+            }
+            Msg::CallbackDowngrade { name, to } => {
+                self.counters.callbacks.inc();
+                if self.defer_if_in_flight(*name) {
+                    return Msg::CallbackDeferred;
+                }
+                if self.lock_cache.callback_downgrade(*name, *to) {
+                    // The page content stays valid for reading; no purge.
+                    Msg::CallbackReleased
+                } else {
+                    Msg::CallbackDeferred
+                }
+            }
+            other => Msg::Err(format!("unexpected message from a server: {other:?}")),
+        }
+    }
+
+    /// Defers a callback that races this node's own in-flight request for
+    /// `name`, whatever the cache holds right now. The server may have
+    /// granted that request an instant ago — and it releases the holder's
+    /// lock *by name* when a callback is answered "released", so giving up
+    /// an idle weaker lock here (an S under our own X upgrade) would wipe
+    /// the grant that is on its way to us, and two nodes would both believe
+    /// they hold X. The lock is released when the transaction that asked
+    /// for it ends.
+    fn defer_if_in_flight(&self, name: LockName) -> bool {
+        let mut state = self.state.lock();
+        if !state.in_flight.contains_key(&name) {
+            return false;
+        }
+        state.raced.insert(name);
+        drop(state);
+        self.lock_cache.mark_callback_pending(name);
+        true
+    }
+
+    /// The owner's idle tick: pays release debts that found no carrier,
+    /// then — once per heartbeat interval — renews this node's lease at
+    /// the home (or gateway) server and every server touched. A server
+    /// renews the lease on *every* message, so a standalone heartbeat is
+    /// pure overhead whenever real traffic went to that server recently —
+    /// those are suppressed and counted under `net.heartbeats.suppressed`.
+    pub(crate) fn tick(&self) {
+        let now = Instant::now();
+        let interval = self.cfg.heartbeat_interval;
+        let mut stale = Vec::new();
+        self.state.lock().release_debts.retain(|server, since| {
+            let waiting = now.duration_since(*since) < interval;
+            if !waiting {
+                stale.push(*server);
+            }
+            waiting
+        });
+        for server in stale {
+            // One-way is enough: `ReleaseAll` is idempotent and renews the
+            // lease like any other message.
+            let _ = self.caller.send(server, Msg::ReleaseAll);
+            self.state.lock().last_sent.insert(server, Instant::now());
+        }
+        {
+            let mut last = self.last_heartbeat.lock();
+            if last.elapsed() < interval {
+                return;
+            }
+            *last = Instant::now();
+        }
+        let mut targets: HashSet<NodeId> = self.state.lock().touched.clone();
+        targets.extend(self.cfg.gateway.or_else(|| self.home().ok()));
+        for t in targets {
+            let now = Instant::now();
+            let recent = |at: &Instant| now.duration_since(*at) < interval;
+            if self.state.lock().last_sent.get(&t).is_some_and(recent) {
+                self.net_stats().heartbeats_suppressed.inc();
+            } else if self.caller.send(t, self.stamp(t, Msg::Heartbeat)).is_ok() {
+                self.state.lock().last_sent.insert(t, now);
+                self.counters.heartbeats.inc();
+            }
+        }
+    }
+
+    /// Pays the release debts and hands every cached lock back.
+    pub(crate) fn close(&self) {
+        let owed: Vec<NodeId> = self.state.lock().release_debts.drain().map(|(n, _)| n).collect();
+        for server in owed {
+            let _ = self.call_once(server, Msg::ReleaseAll);
+        }
+        for (owner, names) in self.by_owner(self.lock_cache.clear()) {
+            let _ = self.call_once(owner, Msg::ReleaseCached { names });
+        }
+    }
+}

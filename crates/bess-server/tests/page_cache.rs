@@ -1,6 +1,6 @@
 //! Coherence of the page images a caching [`ClientConn`] keeps on its
-//! cached page locks, and the callback that races the connection's own
-//! in-flight lock request.
+//! cached page locks, and the callback that races a node's own in-flight
+//! lock request — the node being a [`ClientConn`] or a [`NodeServer`].
 //!
 //! No test here sleeps or depends on thread timing: the races are forced by
 //! a server endpoint the test drives by hand, and the only waits are the
@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bess_cache::{AreaSet, DbPage};
-use bess_lock::{LockMode, LockName, IMAGE_CAPACITY};
+use bess_lock::{LockCache, LockMode, LockName, IMAGE_CAPACITY};
 use bess_net::{Endpoint, NetFaultKind, NetFaultPlan, Network, NodeId};
 use bess_server::{
     register_areas, BessServer, ClientConfig, ClientConn, ClientOpts, Directory, Msg, NodeServer,
@@ -368,11 +368,43 @@ fn non_caching_and_gateway_connections_hold_no_images() {
     ns.shutdown();
 }
 
+/// A node server retries like any client: the lost reply to its `Commit`
+/// is absorbed, and the server's dedup window keeps the retry from applying
+/// the updates a second time.
+#[test]
+fn a_node_servers_commit_survives_a_lost_reply() {
+    let w = world();
+    let p = w.pages(1)[0];
+    let mut cfg = NodeServerConfig::new(NodeId(50));
+    // Nothing of the node server's but the commit is counted; its reply is
+    // waited for once.
+    cfg.heartbeat_interval = NO_HEARTBEATS;
+    cfg.rpc_timeout = Duration::from_millis(250);
+    let ns = NodeServer::start(cfg, Arc::clone(&w.dir), &w.net);
+    let app = w.client(51, |cfg| {
+        cfg.home = ns.node();
+        cfg.gateway = Some(ns.node());
+    });
+    app.begin().unwrap();
+    app.fetch_page(p, LockMode::X).unwrap();
+
+    let commits = w.server.stats().commits.get();
+    let plan = NetFaultPlan::armed_from(ns.node(), 0, NetFaultKind::DropReply);
+    w.net.arm(Arc::clone(&plan));
+    app.commit(vec![update(p, 0, &[0; 4], b"once")]).unwrap();
+    assert_eq!(plan.fired(), 1);
+    assert_eq!(w.server.stats().commits.get(), commits + 1);
+    assert_eq!(w.server.stats().dedup_hits.get(), 1);
+    assert_eq!(&txn(&app, p, LockMode::S, vec![])[0..4], b"once");
+    app.disconnect();
+    ns.shutdown();
+}
+
 // ---- grants the server dropped without a callback ------------------------
 
 /// No heartbeat gets in before the request the test means to be refused.
 fn quiet(cfg: &mut ClientConfig) {
-    cfg.heartbeat_interval = Duration::from_secs(3600);
+    cfg.heartbeat_interval = NO_HEARTBEATS;
 }
 
 fn lazy(cfg: &mut ClientConfig) {
@@ -539,96 +571,137 @@ fn the_second_of_two_upgraders_gives_way_at_once() {
     b.disconnect();
 }
 
-// ---- the callback that races the client's own in-flight request ---------
+// ---- the callback that races the node's own in-flight request -----------
 
 /// A server the test plays by hand: it owns area 0 on a network of its own.
 struct HandServer {
     net: Arc<Network<Msg>>,
     endpoint: Endpoint<Msg>,
     client: Arc<ClientConn>,
+    /// When the client reaches this server through a node server: that is
+    /// then the node this server grants locks to and calls back.
+    gateway: Option<NodeServer>,
 }
 
 const PAGE: DbPage = DbPage { area: 0, page: 7 };
 const WAIT: Duration = Duration::from_secs(5);
+const NODE_SERVER: NodeId = NodeId(50);
 
-fn hand_server() -> HandServer {
+/// An interval no test outlasts (the hand-played server answers no
+/// heartbeats, and a counted message must not be one).
+const NO_HEARTBEATS: Duration = Duration::from_secs(3600);
+
+fn hand_server(through_a_node_server: bool) -> HandServer {
     let net: Arc<Network<Msg>> = Network::new(Duration::ZERO);
     let dir = Arc::new(Directory::new());
     dir.set_owner(0, SERVER);
     let endpoint = net.register(SERVER);
-    let mut cfg = ClientConfig::new(NodeId(1), SERVER);
+    let gateway = through_a_node_server.then(|| {
+        let mut cfg = NodeServerConfig::new(NODE_SERVER);
+        cfg.heartbeat_interval = NO_HEARTBEATS;
+        NodeServer::start(cfg, Arc::clone(&dir), &net)
+    });
+    let gateway_node = gateway.as_ref().map(NodeServer::node);
+    let mut cfg = ClientConfig::new(NodeId(1), gateway_node.unwrap_or(SERVER));
+    cfg.gateway = gateway_node;
     cfg.opts = ClientOpts {
         lazy_begin: true,
         ..ClientOpts::default()
     };
-    // The hand-played server answers no heartbeats.
-    cfg.heartbeat_interval = Duration::from_secs(3600);
+    cfg.heartbeat_interval = NO_HEARTBEATS;
     let client = ClientConn::connect(&net, dir, cfg);
     HandServer {
         net,
         endpoint,
         client,
+        gateway,
     }
 }
 
 impl HandServer {
-    /// Receives the client's next request, which must satisfy `expect`
-    /// under its lease stamp (this server never tells the client a lease
-    /// id, so the stamp stays 0 and nothing is ever refused).
+    /// The node that holds locks here, and its lock cache.
+    fn holder(&self) -> (NodeId, &Arc<LockCache>) {
+        match &self.gateway {
+            Some(ns) => (ns.node(), ns.lock_cache()),
+            None => (self.client.node(), self.client.lock_cache()),
+        }
+    }
+
+    /// Receives the holder's next request, which must satisfy `expect`. A
+    /// caching client stamps every request with its lease (this server
+    /// never tells it a lease id, so the stamp stays 0 and nothing is ever
+    /// refused); a node server never stamps.
     fn next_request(&self, expect: impl FnOnce(&Msg) -> bool) -> bess_net::Envelope<Msg> {
-        let env = self.endpoint.recv(WAIT).expect("the client sent nothing");
-        let request = match &env.msg {
-            Msg::Leased { lease: 0, msg } => msg,
-            other => panic!("a caching client stamps every request: {other:?}"),
+        let env = self.endpoint.recv(WAIT).expect("the holder sent nothing");
+        let request = match (&env.msg, &self.gateway) {
+            (Msg::Leased { lease: 0, msg }, None) => msg,
+            (Msg::Leased { .. }, _) | (_, None) => panic!("wrong stamp: {:?}", env.msg),
+            (unstamped, Some(_)) => unstamped,
         };
         assert!(expect(request), "unexpected request {request:?}");
         env
     }
 
-    /// Leaves the client with an idle cached S on `PAGE`.
+    fn page_data(&self) -> Msg {
+        Msg::PageData(vec![0; self.client.page_size()])
+    }
+
+    /// Receives the holder's request for `mode` on `PAGE`'s lock and
+    /// returns it unanswered, with the answer that grants it: a client
+    /// asks for lock and page in one message, a node server for the lock.
+    fn lock_request(&self, mode: LockMode) -> (bess_net::Envelope<Msg>, Msg) {
+        if self.gateway.is_some() {
+            let asked = |m: &Msg| *m == Msg::Lock { name: lock_name(PAGE), mode };
+            (self.next_request(asked), Msg::Granted)
+        } else {
+            let asked = |m: &Msg| *m == Msg::FetchPage { page: PAGE, mode };
+            (self.next_request(asked), self.page_data())
+        }
+    }
+
+    /// Leaves the holder with an idle cached S on `PAGE`.
     fn cache_an_idle_s(&self) {
         std::thread::scope(|s| {
             let app = s.spawn(|| txn(&self.client, PAGE, LockMode::S, vec![]));
-            self.next_request(
-                |m| matches!(m, Msg::FetchPage { page, mode: LockMode::S } if *page == PAGE),
-            )
-            .reply(Msg::PageData(vec![0; self.client.page_size()]));
+            let (request, grant) = self.lock_request(LockMode::S);
+            request.reply(grant);
+            if self.gateway.is_some() {
+                // The node server's shared cache is cold.
+                self.next_request(|m| *m == Msg::ReadPage { page: PAGE })
+                    .reply(self.page_data());
+            }
             app.join().unwrap();
         });
         assert_eq!(
-            self.client.lock_cache().cached_mode(lock_name(PAGE)),
+            self.holder().1.cached_mode(lock_name(PAGE)),
             Some(LockMode::S)
         );
     }
 
-    /// The race itself: the client's X upgrade is in flight (received, not
-    /// yet answered) when `callback` arrives. The client must defer it,
+    /// The race itself: the holder's X upgrade is in flight (received, not
+    /// yet answered) when `callback` arrives. The holder must defer it,
     /// keep the X it is then granted for its transaction, and hand the lock
     /// back when the transaction ends.
     fn callback_races_the_upgrade(&self, callback: Msg) {
         self.cache_an_idle_s();
+        let (holder, lock_cache) = self.holder();
         std::thread::scope(|s| {
             let app = s.spawn(|| {
                 self.client.begin().unwrap();
                 self.client.fetch_page(PAGE, LockMode::X).unwrap();
-                // Still the holder, as far as this client knows.
-                let mode = self.client.lock_cache().cached_mode(lock_name(PAGE));
+                // Still the holder, as far as the holder knows.
+                let mode = lock_cache.cached_mode(lock_name(PAGE));
                 self.client.commit(vec![]).unwrap();
                 mode
             });
-            let upgrade = self.next_request(
-                |m| matches!(m, Msg::FetchPage { page, mode: LockMode::X } if *page == PAGE),
-            );
-            let answer = self
-                .endpoint
-                .call(self.client.node(), callback, WAIT)
-                .unwrap();
+            let (upgrade, grant) = self.lock_request(LockMode::X);
+            let answer = self.endpoint.call(holder, callback, WAIT).unwrap();
             assert_eq!(
                 answer,
                 Msg::CallbackDeferred,
-                "a callback that races the client's own request must be deferred"
+                "a callback that races the holder's own request must be deferred"
             );
-            upgrade.reply(Msg::PageData(vec![0; self.client.page_size()]));
+            upgrade.reply(grant);
             // The transaction ends: the deferred release arrives.
             self.next_request(
                 |m| matches!(m, Msg::ReleaseCached { names } if names == &[lock_name(PAGE)]),
@@ -636,13 +709,16 @@ impl HandServer {
             .reply(Msg::Ok);
             assert_eq!(app.join().unwrap(), Some(LockMode::X));
         });
-        assert_eq!(self.client.lock_cache().cached_mode(lock_name(PAGE)), None);
-        assert_eq!(self.client.lock_cache().images(), 0);
+        assert_eq!(lock_cache.cached_mode(lock_name(PAGE)), None);
+        assert_eq!(lock_cache.images(), 0);
     }
 
     fn hang_up(self) {
-        // Nothing is cached any more, so disconnecting sends nothing.
+        // Nothing is cached any more, so leaving sends nothing.
         self.client.disconnect();
+        if let Some(ns) = self.gateway {
+            ns.shutdown();
+        }
         assert!(self.endpoint.try_recv().is_none());
         self.net.unregister(SERVER);
     }
@@ -650,28 +726,32 @@ impl HandServer {
 
 #[test]
 fn release_callback_racing_an_upgrade_is_deferred() {
-    let hs = hand_server();
-    hs.callback_races_the_upgrade(Msg::Callback {
-        name: lock_name(PAGE),
-    });
-    hs.hang_up();
+    for through_a_node_server in [false, true] {
+        let hs = hand_server(through_a_node_server);
+        hs.callback_races_the_upgrade(Msg::Callback {
+            name: lock_name(PAGE),
+        });
+        hs.hang_up();
+    }
 }
 
 #[test]
 fn downgrade_callback_racing_an_upgrade_is_deferred() {
-    let hs = hand_server();
-    hs.callback_races_the_upgrade(Msg::CallbackDowngrade {
-        name: lock_name(PAGE),
-        to: LockMode::S,
-    });
-    hs.hang_up();
+    for through_a_node_server in [false, true] {
+        let hs = hand_server(through_a_node_server);
+        hs.callback_races_the_upgrade(Msg::CallbackDowngrade {
+            name: lock_name(PAGE),
+            to: LockMode::S,
+        });
+        hs.hang_up();
+    }
 }
 
 /// Without a request in flight the same callbacks are answered at once, and
 /// a release takes the image with it.
 #[test]
 fn callbacks_on_an_idle_lock_are_answered_at_once() {
-    let hs = hand_server();
+    let hs = hand_server(false);
     hs.cache_an_idle_s();
     let name = lock_name(PAGE);
     let call = |msg| hs.endpoint.call(hs.client.node(), msg, WAIT).unwrap();
@@ -692,7 +772,7 @@ fn callbacks_on_an_idle_lock_are_answered_at_once() {
 /// whatever happens to the lock it names.
 #[test]
 fn object_and_segment_callbacks_drop_the_pages_image() {
-    let hs = hand_server();
+    let hs = hand_server(false);
     let call = |msg| hs.endpoint.call(hs.client.node(), msg, WAIT).unwrap();
     for name in [
         LockName::Object {

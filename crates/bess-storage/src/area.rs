@@ -550,7 +550,7 @@ impl StorageArea {
                 let start_page = self.first_data_page(i) + u64::from(offset);
                 self.refresh_alloc_gauges(&extents);
                 drop(extents);
-                self.write_extent_meta_locked(i)?;
+                self.write_extent_meta(i)?;
                 return Ok(DiskPtr {
                     area: self.id,
                     start_page,
@@ -575,7 +575,7 @@ impl StorageArea {
         self.refresh_alloc_gauges(&extents);
         drop(extents);
         self.write_header()?;
-        self.write_extent_meta_locked(new_index)?;
+        self.write_extent_meta(new_index)?;
         Ok(DiskPtr {
             area: self.id,
             start_page: self.first_data_page(new_index) + u64::from(offset),
@@ -597,7 +597,7 @@ impl StorageArea {
             extents[extent as usize].free(offset, ptr.order())?;
             self.refresh_alloc_gauges(&extents);
         }
-        self.write_extent_meta_locked(extent)
+        self.write_extent_meta(extent)
     }
 
     // ---- quarantine ------------------------------------------------------
@@ -954,10 +954,6 @@ impl StorageArea {
     }
 
     fn write_extent_meta(&self, extent: u32) -> StorageResult<()> {
-        self.write_extent_meta_locked(extent)
-    }
-
-    fn write_extent_meta_locked(&self, extent: u32) -> StorageResult<()> {
         let blocks: Vec<(u32, u8)> = {
             let extents = self.extents.lock();
             extents[extent as usize].allocated_blocks().collect()

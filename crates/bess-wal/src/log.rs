@@ -176,17 +176,12 @@ struct LogState {
 
 /// Tuning for the group-commit log force (DESIGN.md §13).
 ///
-/// With grouping enabled, concurrent [`LogManager::flush`] calls form a
-/// *commit group*: one leader performs a single `write` + `sync` for every
-/// member. `max_wait` optionally holds the leader back so late committers
+/// Concurrent [`LogManager::flush`] calls form a *commit group*: one
+/// leader performs a single `write` + `sync` for every member. `max_wait` optionally holds the leader back so late committers
 /// can pile in; `max_group_bytes` releases it early once the batch is big
 /// enough.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GroupCommitConfig {
-    /// Grouping on/off. Off reproduces per-commit forcing — one
-    /// write + sync per `flush` call, serialized under the state lock —
-    /// kept as the E21 ablation baseline and as an escape hatch.
-    pub enabled: bool,
     /// A gathering leader forces immediately once the active buffer holds
     /// this many bytes.
     pub max_group_bytes: usize,
@@ -200,19 +195,8 @@ pub struct GroupCommitConfig {
 impl Default for GroupCommitConfig {
     fn default() -> Self {
         GroupCommitConfig {
-            enabled: true,
             max_group_bytes: 256 << 10,
             max_wait: Duration::ZERO,
-        }
-    }
-}
-
-impl GroupCommitConfig {
-    /// Per-commit forcing (no grouping); the E21 baseline.
-    pub fn disabled() -> Self {
-        GroupCommitConfig {
-            enabled: false,
-            ..GroupCommitConfig::default()
         }
     }
 }
@@ -601,9 +585,6 @@ impl LogManager {
     /// far" (`flush_all`), resolved under the same state acquisition as
     /// the first watermark check.
     fn force(&self, upto: Option<u64>) -> WalResult<()> {
-        if !self.group_commit().enabled {
-            return self.force_solo(upto);
-        }
         // Resolve the target and take the fast exit in one state
         // acquisition.
         let want = {
@@ -752,39 +733,6 @@ impl LogManager {
             self.group_cv.notify_all();
             return res;
         }
-    }
-
-    /// Per-commit forcing (group commit disabled): one write + sync per
-    /// call, with the state lock held across the I/O so appends wait.
-    fn force_solo(&self, upto: Option<u64>) -> WalResult<()> {
-        let mut state = self.state.lock();
-        let upto = upto.unwrap_or(state.next_lsn);
-        if upto < state.flushed_lsn || state.tail.is_empty() {
-            return Ok(());
-        }
-        let offset = state.flushed_lsn;
-        let tail = std::mem::take(&mut state.tail);
-        state.flushed_lsn = state.next_lsn;
-        let _timer = self.flush_ns.start();
-        // The E21 ablation baseline: solo forcing deliberately holds
-        // `state` across the device force so appends wait, measuring the
-        // cost of ungrouped commits.
-        if let Err(e) = self
-            .backend
-            // LINT: allow(blocking-under-lock) — E21 solo force, see above.
-            .write_at(&tail, offset)
-            // LINT: allow(blocking-under-lock) — E21 solo force, see above.
-            .and_then(|()| self.backend.sync())
-        {
-            // Nothing was acknowledged; restore the tail (no appends
-            // could interleave — the state lock is held) so a retry can
-            // still force these bytes.
-            state.flushed_lsn = offset;
-            state.tail = tail;
-            return Err(e);
-        }
-        self.stats.flushes.inc();
-        Ok(())
     }
 
     /// The LSN below which all records are durable.

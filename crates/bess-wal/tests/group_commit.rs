@@ -170,7 +170,6 @@ fn fault_during_group_force_fails_every_waiter() {
     // pushing the tail past max_group_bytes once all followers are in.
     const GROUP_BYTES: usize = 4096;
     log.set_group_commit(GroupCommitConfig {
-        enabled: true,
         max_group_bytes: GROUP_BYTES,
         max_wait: Duration::from_secs(10),
     });
@@ -236,7 +235,6 @@ fn follower_woken_before_failure_is_published_still_fails() {
     log.set_master(Lsn::NULL).unwrap();
     const GROUP_BYTES: usize = 4096;
     log.set_group_commit(GroupCommitConfig {
-        enabled: true,
         max_group_bytes: GROUP_BYTES,
         max_wait: Duration::from_secs(60),
     });
@@ -295,13 +293,12 @@ fn follower_woken_before_failure_is_published_still_fails() {
     assert_eq!(log.flushed_lsn(), log.next_lsn());
 }
 
-/// Solo mode (group commit disabled) keeps the same no-spurious-ack
+/// A lone committer is a group of one, under the same no-spurious-ack
 /// contract: a failed sync restores the tail and the watermark.
 #[test]
-fn solo_mode_force_failure_is_retryable() {
+fn lone_committer_force_failure_is_retryable() {
     let disk = FaultDisk::new(FaultPlan::unarmed());
     let log = LogManager::create_faulty(Arc::clone(&disk)).unwrap();
-    log.set_group_commit(GroupCommitConfig::disabled());
 
     let b = log.append(1, Lsn::NULL, LogBody::Begin);
     let c = log.append(1, b, LogBody::Commit);
@@ -322,7 +319,6 @@ fn in_flight_group_records_stay_readable() {
     let disk = FaultDisk::new(FaultPlan::unarmed());
     let log = Arc::new(LogManager::create_faulty(Arc::clone(&disk)).unwrap());
     log.set_group_commit(GroupCommitConfig {
-        enabled: true,
         max_group_bytes: usize::MAX,
         max_wait: Duration::from_millis(200),
     });
