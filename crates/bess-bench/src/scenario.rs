@@ -717,7 +717,6 @@ fn largeobj_aging(cfg: &ScenarioCfg, scale: &Scale) -> ScenarioResult {
                 extent_pages_log2: 6,
                 initial_extents: 2,
                 expandable: true,
-                verify_on_read: true,
             },
         )
         .unwrap(),

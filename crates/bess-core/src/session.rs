@@ -27,10 +27,12 @@ use bess_lock::{LockManager, LockMode, LockName, TxnId};
 use bess_segment::{
     ObjRef, ProtectionPolicy, SegError, SegId, SegmentManager, TypeId, WriteObserver, TYPE_BYTES,
 };
-use bess_server::{ClientConn, ClientError, PageUpdate, RemoteIo, RemoteSpace};
+use bess_server::{
+    ClientConn, ClientError, CommitError, CommitPipeline, PageUpdate, RemoteIo, RemoteSpace,
+};
 use bess_storage::DiskSpace;
 use bess_vm::{AddressSpace, VAddr, VmError};
-use bess_wal::{LogBody, LogManager, Lsn, WalError};
+use bess_wal::{LogManager, WalError};
 use parking_lot::Mutex;
 
 use crate::database::{Database, DbError};
@@ -111,6 +113,14 @@ impl From<WalError> for BessError {
         BessError::Wal(e)
     }
 }
+impl From<CommitError> for BessError {
+    fn from(e: CommitError) -> Self {
+        match e {
+            CommitError::LogForce(e) => BessError::Wal(e),
+            other => BessError::Other(other.to_string()),
+        }
+    }
+}
 
 /// Result alias for session operations.
 pub type BessResult<T> = Result<T, BessError>;
@@ -173,7 +183,8 @@ impl PageIo for OverlayIo {
 enum Backing {
     Embedded {
         areas: Arc<AreaSet>,
-        log: Option<Arc<LogManager>>,
+        /// Logs, forces and applies this session's commits.
+        pipeline: CommitPipeline,
         locks: Option<Arc<LockManager>>,
         overlay: Arc<OverlayIo>,
     },
@@ -240,11 +251,12 @@ impl Session {
         });
         let disk: Arc<dyn DiskSpace> = Arc::clone(&areas) as Arc<dyn DiskSpace>;
         let io: Arc<dyn PageIo> = Arc::clone(&overlay) as Arc<dyn PageIo>;
+        let pipeline = CommitPipeline::new(Arc::clone(&areas), log);
         Self::build(
             db,
             Backing::Embedded {
                 areas,
-                log,
+                pipeline,
                 locks,
                 overlay,
             },
@@ -288,14 +300,17 @@ impl Session {
         registry.adopt("", mgr.metrics().registry());
         match &backing {
             Backing::Embedded {
-                areas, log, locks, ..
+                areas,
+                pipeline,
+                locks,
+                ..
             } => {
                 for id in areas.ids() {
                     if let Some(area) = areas.get(id) {
                         registry.adopt("", area.metrics().registry());
                     }
                 }
-                if let Some(log) = log {
+                if let Some(log) = pipeline.log() {
                     registry.adopt("", log.metrics().registry());
                 }
                 if let Some(locks) = locks {
@@ -544,18 +559,15 @@ impl Session {
                 .unwrap_or_else(|| before.clone());
             debug_assert_eq!(before.len(), current.len());
             // One spanning diff range per page.
-            let first = before
-                .iter()
-                .zip(current.iter())
-                .position(|(a, b)| a != b);
-            let Some(first) = first else {
+            let differs = |(a, b): (&u8, &u8)| a != b;
+            let Some(first) = before.iter().zip(current.iter()).position(differs) else {
                 continue; // written but unchanged
             };
             let last = before
                 .iter()
                 .zip(current.iter())
-                .rposition(|(a, b)| a != b)
-                .expect("first diff exists");
+                .rposition(differs)
+                .unwrap_or(first);
             updates.push(PageUpdate {
                 page,
                 // LINT: allow(cast) — `first` indexes into one page, far below u32::MAX.
@@ -586,52 +598,21 @@ impl Session {
                 self.pool.clear_dirty_flags();
             }
             Backing::Embedded {
-                areas,
-                log,
+                pipeline,
                 locks,
                 overlay,
+                ..
             } => {
-                if let Some(log) = log {
-                    let begin = log.append(state.id, Lsn::NULL, LogBody::Begin);
-                    let mut prev = begin;
-                    for u in &updates {
-                        prev = log.append(
-                            state.id,
-                            prev,
-                            LogBody::Update {
-                                page: bess_wal::LogPageId {
-                                    area: u.page.area,
-                                    page: u.page.page,
-                                },
-                                offset: u.offset,
-                                before: u.before.clone(),
-                                after: u.after.clone(),
-                            },
-                        );
-                    }
-                    let commit = log.append(state.id, prev, LogBody::Commit);
-                    log.flush(commit)?;
-                    log.append(state.id, commit, LogBody::End);
-                }
-                for u in &updates {
-                    let area = areas
-                        .get(u.page.area)
-                        .ok_or_else(|| BessError::Other(format!("no area {}", u.page.area)))?;
-                    bess_storage::StorageArea::write_at(
-                        &area,
-                        u.page.page,
-                        u.offset as usize,
-                        &u.after,
-                    )
-                    .map_err(|e| BessError::Other(e.to_string()))?;
-                }
-                // The pool's dirty content now equals disk; retire the
-                // overlay and the dirty flags.
+                let committed = pipeline.commit(state.id, &updates);
+                // Whatever the outcome, the transaction is over: retire
+                // the overlay and the dirty flags (after a commit the
+                // pool's content equals disk) and let go of its locks.
                 self.pool.clear_dirty_flags();
                 overlay.overlay.lock().clear();
                 if let Some(mgr) = locks {
                     mgr.unlock_all(TxnId(state.id));
                 }
+                committed?;
             }
         }
         self.hooks.fire(

@@ -20,7 +20,6 @@
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::Arc;
-use std::time::Duration;
 
 use bess_lock::order::{OrderedMutex, Rank};
 use bess_obs::{Counter, Gauge, Group, LatencyHistogram};
@@ -150,10 +149,6 @@ pub struct IoRuntimeConfig {
     /// Most ops a worker dequeues (and a batch submission coalesces)
     /// at once.
     pub max_batch: usize,
-    /// How long a worker holding fewer than `max_batch` eligible ops
-    /// waits for more submissions to coalesce before executing. Zero
-    /// (the default) executes immediately.
-    pub submit_coalesce_window: Duration,
 }
 
 impl Default for IoRuntimeConfig {
@@ -161,7 +156,6 @@ impl Default for IoRuntimeConfig {
         IoRuntimeConfig {
             workers: 0,
             max_batch: 16,
-            submit_coalesce_window: Duration::ZERO,
         }
     }
 }
@@ -340,19 +334,16 @@ fn scan_eligible(state: &QueueState, limit: usize, mut take: impl FnMut(usize)) 
 
 fn worker_loop(inner: &QueueInner) {
     loop {
-        // Select a batch under the state lock, honoring the coalesce
-        // window, then execute with no locks held.
+        // Select a batch under the state lock, then execute with no
+        // locks held.
         let batch: Vec<(u64, IoOp)> = {
             let mut state = inner.state.lock();
-            let mut coalesced = false;
             loop {
                 if state.shutdown {
                     return;
                 }
                 let avail = eligible_count(&state);
-                if avail >= inner.cfg.max_batch
-                    || (avail > 0 && (coalesced || inner.cfg.submit_coalesce_window.is_zero()))
-                {
+                if avail > 0 {
                     // Fair share: a burst splits across the pool instead
                     // of one worker draining it serially — that split is
                     // where a batched submission's overlap comes from.
@@ -375,16 +366,6 @@ fn worker_loop(inner: &QueueInner) {
                     }
                     break batch;
                 }
-                if avail > 0 {
-                    // A small batch with a coalesce window: hold once for
-                    // more submissions, then take whatever is there.
-                    let window = inner.cfg.submit_coalesce_window;
-                    // LINT: allow(blocking-under-lock) — condvar wait atomically releases the queue lock via raw().
-                    let _ = inner.work_cv.wait_for(state.raw(), window);
-                    coalesced = true;
-                    continue;
-                }
-                coalesced = false;
                 // LINT: allow(blocking-under-lock) — condvar wait atomically releases the queue lock via raw().
                 inner.work_cv.wait(state.raw());
             }
@@ -813,33 +794,6 @@ mod tests {
             })
             .unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
-    }
-
-    #[test]
-    fn coalesce_window_batches_submissions() {
-        let q = IoQueue::new(
-            IoRuntimeConfig {
-                workers: 1,
-                max_batch: 8,
-                submit_coalesce_window: Duration::from_millis(20),
-            },
-            &bess_obs::Registry::new().group("io"),
-        );
-        let f = q.register(MemDevice::new(), Counter::unregistered());
-        let t1 = q.submit(&[IoOp::Write {
-            file: f,
-            offset: 0,
-            data: vec![1],
-        }]);
-        let t2 = q.submit(&[IoOp::Write {
-            file: f,
-            offset: 1,
-            data: vec![2],
-        }]);
-        for t in t1.into_iter().chain(t2) {
-            q.complete(t).unwrap();
-        }
-        assert_eq!(read_back(&q, f, 0, 2), vec![1, 2]);
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //!   tickets, no outstanding ops, and drained tickets are dead.
 
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use bess_io::{IoDevice, IoOp, IoOutput, IoQueue, IoRuntimeConfig, MemDevice};
 use bess_obs::Counter;
@@ -166,13 +165,6 @@ fn exec_strategy() -> impl Strategy<Value = IoRuntimeConfig> {
         (1usize..4, 1usize..8).prop_map(|(workers, max_batch)| IoRuntimeConfig {
             workers,
             max_batch,
-            submit_coalesce_window: Duration::ZERO,
-        }),
-        // A short coalesce window exercises the wait-for-more path.
-        (1usize..3).prop_map(|workers| IoRuntimeConfig {
-            workers,
-            max_batch: 4,
-            submit_coalesce_window: Duration::from_micros(200),
         }),
     ]
 }
@@ -353,7 +345,7 @@ proptest! {
         let cfg = if workers == 0 {
             IoRuntimeConfig::inline()
         } else {
-            IoRuntimeConfig { workers, max_batch: 3, submit_coalesce_window: Duration::ZERO }
+            IoRuntimeConfig { workers, max_batch: 3 }
         };
         let q = IoQueue::unregistered(cfg);
         let dev = MemDevice::new();

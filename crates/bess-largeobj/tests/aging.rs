@@ -23,7 +23,6 @@ fn aging_area() -> Arc<StorageArea> {
                 extent_pages_log2: 6,
                 initial_extents: 2,
                 expandable: true,
-                verify_on_read: true,
             },
         )
         .unwrap(),

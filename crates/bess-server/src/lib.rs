@@ -15,6 +15,9 @@
 //!   inter-transaction lock caching, callbacks, uncommitted-page overlay,
 //!   and `PageIo`/`DiskSpace` adapters that let the whole object layer run
 //!   remotely;
+//! * [`CommitPipeline`] — log it, force it, apply it: the one path from a
+//!   write set to durable pages, under the server, its 2PC branches and an
+//!   embedded session alike;
 //! * [`Directory`] — which server owns which storage area;
 //! * [`Msg`] — the wire protocol.
 
@@ -24,6 +27,7 @@
 mod client;
 mod directory;
 mod nodeserver;
+mod pipeline;
 mod proto;
 mod scrub;
 mod server;
@@ -37,10 +41,8 @@ pub use directory::Directory;
 pub use nodeserver::{NodeHandle, NodeServer, NodeServerConfig, NodeServerStats};
 pub use proto::{coordinator_of, GTxn, Msg, PageUpdate, PrepareItem, Vote};
 pub use scrub::{ScrubConfig, ScrubPassReport};
-pub use server::{
-    register_areas, AreaTarget, BessServer, ServerConfig, ServerStats,
-    TwoPcConfig,
-};
+pub use pipeline::{AreaTarget, CommitError, CommitPipeline, Resolution};
+pub use server::{register_areas, BessServer, ServerConfig, ServerStats};
 
 #[cfg(test)]
 mod tests {

@@ -31,11 +31,12 @@ use bess_cache::{DbPage, GetOutcome, PageIo, SharedCache};
 use bess_lock::{LockCache, LockManager, LockMode, LockName, TxnId};
 use bess_net::{Endpoint, NetError, Network, NodeId};
 use bess_vm::PageStore;
-use bess_wal::{LogBody, LogManager, LogPageId, Lsn};
+use bess_wal::{LogBody, LogManager, Lsn};
 use parking_lot::{Condvar, Mutex};
 
 use crate::client::ClientError;
 use crate::directory::Directory;
+use crate::pipeline::{log_write_set, write_sets_of, LoggedWriteSet};
 use crate::proto::{Msg, PageUpdate};
 use crate::upstream::{
     page_lock, Shipment, Upstream, UpstreamConfig, UpstreamCounters, MAX_RETRIES, RETRY_BASE,
@@ -498,23 +499,7 @@ impl NsInner {
         updates: Vec<PageUpdate>,
     ) -> Result<(), String> {
         // 1. Locally durable commit.
-        let mut prev = log.append(txn, Lsn::NULL, LogBody::Begin);
-        for u in &updates {
-            prev = log.append(
-                txn,
-                prev,
-                LogBody::Update {
-                    page: LogPageId {
-                        area: u.page.area,
-                        page: u.page.page,
-                    },
-                    offset: u.offset,
-                    before: u.before.clone(),
-                    after: u.after.clone(),
-                },
-            );
-        }
-        let commit = log.append(txn, prev, LogBody::Commit);
+        let (_, commit) = log_write_set(log, txn, &updates, LogBody::Commit);
         log.flush(commit).map_err(|e| e.to_string())?;
         self.stats.local_commits.inc();
         // 2. Refresh the shared cache now: the node is the authority for
@@ -553,47 +538,25 @@ impl NsInner {
         let Some(log) = self.local_log.clone() else {
             return 0;
         };
-        let mut txn_updates: HashMap<u64, Vec<PageUpdate>> = HashMap::new();
-        let mut committed: HashMap<u64, Lsn> = HashMap::new();
-        let mut shipped: HashSet<u64> = HashSet::new();
+        let mut unshipped: HashSet<u64> = HashSet::new();
         for rec in log.iter() {
             match rec.body {
-                LogBody::Update {
-                    page,
-                    offset,
-                    ref before,
-                    ref after,
-                } => {
-                    txn_updates.entry(rec.txn).or_default().push(PageUpdate {
-                        page: DbPage {
-                            area: page.area,
-                            page: page.page,
-                        },
-                        offset,
-                        before: before.clone(),
-                        after: after.clone(),
-                    });
-                }
                 LogBody::Commit => {
-                    committed.insert(rec.txn, rec.lsn);
+                    unshipped.insert(rec.txn);
                 }
                 LogBody::End => {
-                    shipped.insert(rec.txn);
+                    unshipped.remove(&rec.txn);
                 }
                 _ => {}
             }
         }
         let mut reshipped = 0;
-        let mut to_ship: Vec<(u64, Lsn)> = committed
-            .iter()
-            .filter(|(t, _)| !shipped.contains(t))
-            .map(|(&t, &l)| (t, l))
-            .collect();
-        to_ship.sort_by_key(|&(_, l)| l);
-        for (txn, commit) in to_ship {
-            let updates = txn_updates.remove(&txn).unwrap_or_default();
-            if self.ship(txn, &updates).is_ok() {
-                log.append(txn, commit, LogBody::End);
+        let mut to_ship: Vec<(u64, LoggedWriteSet)> =
+            write_sets_of(&log, &unshipped).into_iter().collect();
+        to_ship.sort_by_key(|(_, set)| set.last);
+        for (txn, set) in to_ship {
+            if self.ship(txn, &set.updates).is_ok() {
+                log.append(txn, set.last, LogBody::End);
                 reshipped += 1;
                 self.stats.reshipped.inc();
             }

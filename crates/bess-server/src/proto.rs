@@ -739,7 +739,7 @@ impl Msg {
             Msg::DecisionPending => b.push(35),
             Msg::PrepareBatch { items } => {
                 b.push(37);
-                // LINT: allow(cast) — a batch is capped by TwoPcConfig::max_batch.
+                // LINT: allow(cast) — a batch is capped by the server's PREP_BATCH_MAX.
                 put_u32(&mut b, items.len() as u32);
                 for item in items {
                     put_prepare_item(&mut b, item);
@@ -756,7 +756,7 @@ impl Msg {
             }
             Msg::DecideBatch { decisions } => {
                 b.push(39);
-                // LINT: allow(cast) — a batch is capped by TwoPcConfig::max_batch.
+                // LINT: allow(cast) — one verdict per round in flight, far below u32::MAX.
                 put_u32(&mut b, decisions.len() as u32);
                 for (gtxn, commit) in decisions {
                     put_u64(&mut b, *gtxn);

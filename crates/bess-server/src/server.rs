@@ -16,8 +16,10 @@
 //! the server calls the holding clients back, releasing idle cached locks
 //! immediately and waiting (bounded by the deadlock timeout) for locks in
 //! use. Commits log physical byte-range updates, force the log, then apply
-//! the after-images to the storage areas. Distributed commits run
-//! presumed-commit 2PC with the client's first server as coordinator.
+//! the after-images to the storage areas — through the
+//! [`CommitPipeline`], as a participant's prepared branches do.
+//! Distributed commits run presumed-commit 2PC with the client's first
+//! server as coordinator.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -29,41 +31,14 @@ use bess_obs::{Counter, Group, LatencyHistogram, Registry};
 use bess_cache::AreaSet;
 use bess_lock::{LockManager, LockMode, LockName, OrderedMutex, Rank, TxnId};
 use bess_net::{Caller, Endpoint, Envelope, Network, NodeId};
-use bess_storage::{AreaId, CorruptKind, DiskPtr, StorageArea, StorageError};
-use bess_wal::{
-    begin_checkpoint, end_checkpoint, recover, undo_transactions, GroupCommitConfig, LogBody,
-    LogManager, LogPageId, Lsn, RecoveryReport, RedoPatch, RedoTarget, TxnStatus,
-};
-use parking_lot::{Condvar, Mutex, RwLock};
+use bess_storage::{AreaId, DiskPtr};
+use bess_wal::{GroupCommitConfig, LogBody, LogManager, Lsn, RecoveryReport};
+use parking_lot::{Condvar, Mutex};
 
 use crate::directory::Directory;
 use crate::proto::{coordinator_of, GTxn, Msg, PageUpdate, PrepareItem, Vote, LEASE_LOST};
-use crate::scrub::{repair_page, IntegrityStats, MediaGate, ScrubConfig, ScrubPassReport, Scrubber};
-
-/// Tuning for the distributed-commit fast path (presumed commit, batched
-/// phase fan-out).
-#[derive(Clone, Copy, Debug)]
-pub struct TwoPcConfig {
-    /// Most concurrent global transactions gathered into one
-    /// [`Msg::PrepareBatch`] wire frame per participant.
-    pub max_batch: usize,
-    /// How long a phase-1 leader holds the gather window open for
-    /// stragglers. `ZERO` (the default) still batches: while one leader's
-    /// frame is in flight, later rounds pile up behind it and the next
-    /// leader takes the whole queue — the same natural accumulation the
-    /// WAL's group commit exploits — without adding latency to an
-    /// uncontended round.
-    pub max_wait: Duration,
-}
-
-impl Default for TwoPcConfig {
-    fn default() -> Self {
-        TwoPcConfig {
-            max_batch: 16,
-            max_wait: Duration::ZERO,
-        }
-    }
-}
+use crate::pipeline::{Accounting, CommitError, CommitPipeline, Resolution};
+use crate::scrub::{IntegrityStats, MediaGate, ScrubConfig, ScrubPassReport, Scrubber};
 
 /// Server configuration.
 #[derive(Clone, Debug)]
@@ -97,8 +72,6 @@ pub struct ServerConfig {
     /// [`ScrubConfig`]). [`BessServer::scrub_once`] works even when the
     /// background thread is disabled.
     pub scrub: ScrubConfig,
-    /// Distributed-commit tuning (presumed commit, batched fan-out).
-    pub two_pc: TwoPcConfig,
 }
 
 impl ServerConfig {
@@ -113,7 +86,6 @@ impl ServerConfig {
             media_error_threshold: 3,
             group_commit: GroupCommitConfig::default(),
             scrub: ScrubConfig::default(),
-            two_pc: TwoPcConfig::default(),
         }
     }
 }
@@ -186,7 +158,7 @@ pub struct ServerStats {
     pub two_pc_prepare_batches: Counter,
     /// Prepare requests that rode those frames
     /// (`server.2pc.batched_prepares`); minus `prepare_batches`, the
-    /// messages the gather window saved.
+    /// messages batching saved.
     pub two_pc_batched_prepares: Counter,
     /// Commit verdicts delivered as unacknowledged one-way sends
     /// (`server.2pc.oneway_decides`) — the presumed-commit saving: no
@@ -231,73 +203,12 @@ impl ServerStats {
     }
 }
 
-/// Applies redo/undo images to the server's storage areas.
-pub struct AreaTarget(pub Arc<AreaSet>);
-
-impl RedoTarget for AreaTarget {
-    fn apply(&mut self, page: LogPageId, offset: u32, bytes: &[u8]) -> Result<(), String> {
-        self.apply_lsn(page, offset, bytes, Lsn::NULL)
-    }
-
-    fn apply_lsn(
-        &mut self,
-        page: LogPageId,
-        offset: u32,
-        bytes: &[u8],
-        lsn: Lsn,
-    ) -> Result<(), String> {
-        // Pages for unregistered areas are skipped: the log may describe
-        // areas this server no longer mounts, and recovery must not fail
-        // on them. Mounted areas must accept the write, or recovery fails.
-        let Some(area) = self.0.get(page.area) else {
-            return Ok(());
-        };
-        // Recovery writes go through the *restore* path: the slot being
-        // repaired may be torn or rotted, so its old checksum legitimately
-        // fails — redo's after-image restores the bytes and the reseal
-        // (stamped with the record's LSN) restores the header. The
-        // verified-RMW `write_at` would refuse exactly the slots recovery
-        // exists to fix.
-        area.restore_at(page.page, offset as usize, bytes, lsn.0)
-            .map_err(|e| format!("redo write to {page:?} failed: {e}"))
-    }
-
-    /// One unverified read-modify-write for the page's whole redo history,
-    /// resealed at the last record's LSN; unmounted areas are skipped as in
-    /// `apply_lsn`.
-    fn redo_page(&mut self, page: LogPageId, patches: &[RedoPatch]) -> Result<(), String> {
-        let (Some(area), Some(last)) = (self.0.get(page.area), patches.last()) else {
-            return Ok(());
-        };
-        let parts: Vec<(usize, &[u8])> = patches
-            .iter()
-            .map(|p| (p.offset as usize, p.bytes.as_slice()))
-            .collect();
-        area.restore_patches(page.page, &parts, last.lsn.0)
-            .map_err(|e| format!("redo write to {page:?} failed: {e}"))
-    }
-}
-
-struct PreparedTxn {
-    updates: Vec<PageUpdate>,
-    /// The branch's oldest log record: where a checkpoint must let redo
-    /// start for the pages in `updates`.
-    first_lsn: Lsn,
-    last_lsn: Lsn,
-    /// The client node that shipped this branch's updates, when known.
-    /// `None` for branches rebuilt by restart recovery — those are
-    /// resolved by `resolve_in_doubt`, not the lease reaper.
-    shipper: Option<u32>,
-    /// When the branch prepared; the reaper waits out `coordinator_grace`
-    /// from here before force-querying the coordinator.
-    prepared_at: Instant,
-}
-
 /// Per-participant phase-1 gather state. Concurrent coordinated rounds
 /// preparing at the same participant enqueue here; a dedicated pump
-/// thread (started lazily per participant) drains up to `max_batch`
-/// items into a single [`Msg::PrepareBatch`] frame and distributes the
-/// votes. While every pump for a participant has a frame in flight,
+/// thread (started lazily per participant) drains up to
+/// [`PREP_BATCH_MAX`] items into a single [`Msg::PrepareBatch`] frame and
+/// distributes the votes. While every pump for a participant has a frame
+/// in flight,
 /// later rounds pile up in the queue — the WAL group commit's
 /// accumulation pattern applied to 2PC messaging.
 #[derive(Default)]
@@ -313,6 +224,10 @@ struct PrepSlot {
 /// up whenever all frames are out) while cutting that queueing delay
 /// under concurrent coordinators.
 const PREP_PIPELINE: u32 = 4;
+
+/// Most concurrent global transactions gathered into one
+/// [`Msg::PrepareBatch`] wire frame per participant.
+const PREP_BATCH_MAX: usize = 16;
 
 /// Per-participant phase-2 outbox. Commit verdicts are one-way under
 /// presumed commit, so the only coordination needed is merging whatever
@@ -358,6 +273,12 @@ struct ServerInner {
     areas: Arc<AreaSet>,
     locks: LockManager,
     log: Arc<LogManager>,
+    /// Commit, prepare, resolve and checkpoint over `areas` and `log`;
+    /// holds the prepared branches, the media gate (read-only fallback)
+    /// and the corruption accounting, the last two shared with the
+    /// background scrubber so unrepairable corruption degrades the server
+    /// exactly like a failing write path.
+    pipeline: CommitPipeline,
     caller: Caller<Msg>,
     decisions: Mutex<HashMap<GTxn, bool>>,
     /// 2PC rounds this server is coordinating right now: registered before
@@ -371,7 +292,6 @@ struct ServerInner {
     /// transaction, tagged with the committing client node so the reaper
     /// can drop a dead client's unprepared branches.
     pending: Mutex<HashMap<GTxn, (u32, Vec<PageUpdate>)>>,
-    prepared: Mutex<HashMap<GTxn, PreparedTxn>>,
     /// Phase-1 gather queues, one slot per participant node.
     prep_slots: Mutex<HashMap<u32, PrepSlot>>,
     /// Wakes phase-1 waiters when a pump finishes (or new work lands).
@@ -393,22 +313,10 @@ struct ServerInner {
     /// Every node heard from within `lease_duration`. Never held across
     /// calls into the lock manager, the log, or the network.
     leases: OrderedMutex<HashMap<u32, Lease>>,
-    /// Held shared by a commit from its first log record until its updates
-    /// are applied, and exclusively by [`BessServer::checkpoint`] while it
-    /// appends `CheckpointBegin`: every commit is either applied before
-    /// the checkpoint's area sync or logged after its begin record.
-    commit_gate: RwLock<()>,
     /// The at-most-once window. Never held across request execution.
     dedup: OrderedMutex<DedupWindow>,
     /// Drain mode: finish in-flight work, reject new transactions.
     draining: AtomicBool,
-    /// Media-failure containment (read-only fallback), shared with the
-    /// background scrubber so unrepairable corruption degrades the server
-    /// exactly like a failing write path.
-    media: Arc<MediaGate>,
-    /// Corruption accounting, shared with the scrubber
-    /// (`storage.corruption.*`).
-    integrity: Arc<IntegrityStats>,
     // LINT: allow(raw-counter) — transaction-id allocator, not a metric
     next_txn: AtomicU64,
     running: AtomicBool,
@@ -441,20 +349,26 @@ impl BessServer {
     ) -> (BessServer, RecoveryReport) {
         let log = Arc::new(log);
         log.set_group_commit(cfg.group_commit);
-        let mut target = AreaTarget(Arc::clone(&areas));
-        let report = recover(&log, &mut target).expect("restart recovery");
+        let group = Registry::new().group("server");
+        let stats = ServerStats::new(&group);
+        let accounting = Accounting {
+            media: Arc::new(MediaGate::new(cfg.media_error_threshold)),
+            integrity: Arc::new(IntegrityStats::new(
+                &group.registry().group("storage.corruption"),
+            )),
+            log_force_failures: stats.log_force_failures.clone(),
+        };
+        let opened = CommitPipeline::open(Arc::clone(&areas), Arc::clone(&log), accounting);
+        // LINT: allow(panic) — a server that cannot recover its log must not serve, and `start` has no error to return
+        let (pipeline, report) = opened.expect("restart recovery");
 
-        // Rebuild the 2PC decision table and in-doubt transactions. Under
-        // presumed commit, a `GlobalDecision` without a closing `End` means
-        // the coordinator may have crashed before its one-way commit
-        // verdicts reached every write participant — those are re-sent
-        // below once the network caller exists.
+        // Rebuild the 2PC decision table. Under presumed commit, a
+        // `GlobalDecision` without a closing `End` means the coordinator
+        // may have crashed before its one-way commit verdicts reached
+        // every write participant — those are re-sent below once the
+        // network caller exists.
         let mut decisions = HashMap::new();
         let mut undelivered: HashMap<GTxn, (bool, Vec<u32>, Lsn)> = HashMap::new();
-        let mut in_doubt_updates: HashMap<GTxn, (Vec<PageUpdate>, Lsn, Lsn)> = HashMap::new();
-        for gtxn in &report.in_doubt {
-            in_doubt_updates.insert(*gtxn, (Vec::new(), Lsn::NULL, Lsn::NULL));
-        }
         for rec in log.iter() {
             match &rec.body {
                 LogBody::Commit => {
@@ -476,51 +390,20 @@ impl BessServer {
                     // round's, so this never hides an unsent verdict).
                     undelivered.remove(&rec.txn);
                 }
-                LogBody::Update {
-                    page,
-                    offset,
-                    before,
-                    after,
-                } => {
-                    if let Some((ups, first, _)) = in_doubt_updates.get_mut(&rec.txn) {
-                        if ups.is_empty() {
-                            *first = rec.lsn;
-                        }
-                        ups.push(PageUpdate {
-                            page: bess_cache::DbPage {
-                                area: page.area,
-                                page: page.page,
-                            },
-                            offset: *offset,
-                            before: before.clone(),
-                            after: after.clone(),
-                        });
-                    }
-                }
-                LogBody::Prepare => {
-                    if let Some((_, _, last)) = in_doubt_updates.get_mut(&rec.txn) {
-                        *last = rec.lsn;
-                    }
-                }
                 _ => {}
             }
         }
 
-        let group = Registry::new().group("server");
-        let integrity = Arc::new(IntegrityStats::new(
-            &group.registry().group("storage.corruption"),
-        ));
-        let media = Arc::new(MediaGate::new(cfg.media_error_threshold));
         let inner = Arc::new_cyclic(|self_ref| ServerInner {
             locks: LockManager::new(cfg.lock_timeout),
             caller: net.caller(cfg.node),
             cfg,
             areas,
             log,
+            pipeline,
             decisions: Mutex::new(decisions),
             coordinating: Mutex::new(std::collections::HashSet::new()),
             pending: Mutex::new(HashMap::new()),
-            prepared: Mutex::new(HashMap::new()),
             prep_slots: Mutex::new(HashMap::new()),
             prep_cv: Condvar::new(),
             prep_pumps: Mutex::new(std::collections::HashSet::new()),
@@ -529,7 +412,6 @@ impl BessServer {
             callbacks_in_flight: Mutex::new(std::collections::HashSet::new()),
             lock_requests: Mutex::new(HashMap::new()),
             leases: OrderedMutex::new(Rank::ServerLeases, "server.leases", HashMap::new()),
-            commit_gate: RwLock::new(()),
             dedup: OrderedMutex::new(
                 Rank::ServerDedup,
                 "server.dedup",
@@ -539,11 +421,9 @@ impl BessServer {
                 },
             ),
             draining: AtomicBool::new(false),
-            media,
-            integrity,
             next_txn: AtomicU64::new(1),
             running: AtomicBool::new(true),
-            stats: ServerStats::new(&group),
+            stats,
             commit_ns: group.histogram("commit.ns"),
             commit_global_ns: group.histogram("commit.global.ns"),
             group,
@@ -565,24 +445,14 @@ impl BessServer {
 
         // In-doubt transactions keep exclusive locks on the pages they
         // updated until the coordinator's verdict arrives.
-        for (gtxn, (updates, first_lsn, last_lsn)) in in_doubt_updates {
-            for u in &updates {
+        for branch in inner.pipeline.branches() {
+            for page in branch.pages {
                 let name = LockName::Page {
-                    area: u.page.area,
-                    page: u.page.page,
+                    area: page.area,
+                    page: page.page,
                 };
-                let _ = inner.locks.try_lock(TxnId(gtxn), name, LockMode::X);
+                let _ = inner.locks.try_lock(TxnId(branch.gtxn), name, LockMode::X);
             }
-            inner.prepared.lock().insert(
-                gtxn,
-                PreparedTxn {
-                    updates,
-                    first_lsn,
-                    last_lsn,
-                    shipper: None,
-                    prepared_at: Instant::now(),
-                },
-            );
         }
 
         // Presumed-commit restart duty: re-send the verdict for every
@@ -609,8 +479,8 @@ impl BessServer {
             Arc::clone(&inner.areas),
             Arc::clone(&inner.log),
             inner.cfg.scrub,
-            Arc::clone(&inner.media),
-            Arc::clone(&inner.integrity),
+            Arc::clone(&inner.pipeline.accounting().media),
+            Arc::clone(&inner.pipeline.accounting().integrity),
             &inner.group.registry().group("storage.scrub"),
         ));
         let scrub_handle = if inner.cfg.scrub.enabled {
@@ -662,59 +532,19 @@ impl BessServer {
 
     /// Currently in-doubt global transactions.
     pub fn in_doubt(&self) -> Vec<GTxn> {
-        let mut v: Vec<GTxn> = self.inner.prepared.lock().keys().copied().collect();
-        v.sort_unstable();
-        v
+        self.inner.pipeline.in_doubt()
     }
 
-    /// Takes a checkpoint, safe to call while the server is committing.
-    ///
-    /// The server applies committed updates write-through but does not
-    /// sync its areas on the commit path, so a checkpoint is what makes
-    /// them durable: it appends `CheckpointBegin` with no commit between
-    /// its first log record and its apply (`commit_gate`), *then* syncs
-    /// every mounted area, then writes the tables. A commit is therefore
-    /// either applied before the sync, or logged after the begin record,
-    /// where restart analysis finds it. The one kind of update that is
-    /// logged before the begin record and not applied is a prepared
-    /// (in-doubt) branch's: its pages go into the dirty page table at the
-    /// branch's first LSN, so that a commit decided after the checkpoint
-    /// is still redone after a crash, and the branch itself into the
-    /// transaction table.
+    /// Takes a checkpoint, safe to call while the server is committing
+    /// (see [`CommitPipeline::checkpoint`]).
     pub fn checkpoint(&self) -> bess_wal::WalResult<()> {
-        let mut dirty: Vec<(LogPageId, Lsn)> = Vec::new();
-        let mut active: Vec<(u64, Lsn, TxnStatus)> = Vec::new();
-        let begin = {
-            let _no_commit_in_flight = self.inner.commit_gate.write();
-            for (g, p) in self.inner.prepared.lock().iter() {
-                active.push((*g, p.last_lsn, TxnStatus::Prepared));
-                for u in &p.updates {
-                    dirty.push((
-                        LogPageId {
-                            area: u.page.area,
-                            page: u.page.page,
-                        },
-                        p.first_lsn,
-                    ));
-                }
-            }
-            begin_checkpoint(&self.inner.log)
-        };
-        for id in self.inner.areas.ids() {
-            if let Some(area) = self.inner.areas.get(id) {
-                area.sync().map_err(|e| {
-                    std::io::Error::other(format!("checkpoint could not sync area {id}: {e}"))
-                })?;
-            }
-        }
-        end_checkpoint(&self.inner.log, begin, dirty, active)
+        self.inner.pipeline.checkpoint()
     }
 
     /// Asks coordinators for verdicts on every in-doubt transaction,
     /// applying presumed abort when the coordinator has no record.
     pub fn resolve_in_doubt(&self) {
-        let gtxns: Vec<GTxn> = self.inner.prepared.lock().keys().copied().collect();
-        for gtxn in gtxns {
+        for gtxn in self.inner.pipeline.in_doubt() {
             let coord = coordinator_of(gtxn);
             let verdict = if coord == self.inner.cfg.node.0 {
                 self.inner.decisions.lock().get(&gtxn).copied()
@@ -784,12 +614,12 @@ impl BessServer {
     /// `media_error_threshold` consecutive storage-write failures (or
     /// unrepairable corruption findings).
     pub fn set_read_only(&self, on: bool) {
-        self.inner.media.set_read_only(on);
+        self.inner.media().set_read_only(on);
     }
 
     /// Whether the server is read-only.
     pub fn is_read_only(&self) -> bool {
-        self.inner.media.is_read_only()
+        self.inner.media().is_read_only()
     }
 
     /// Runs one deterministic scrub pass (regardless of whether the
@@ -901,6 +731,11 @@ fn serve_loop(inner: Arc<ServerInner>, endpoint: Endpoint<Msg>) {
 }
 
 impl ServerInner {
+    /// Media-failure containment: the read-only fallback.
+    fn media(&self) -> &MediaGate {
+        &self.pipeline.accounting().media
+    }
+
     fn handle(&self, from: NodeId, msg: Msg) -> Msg {
         let (claim, msg) = match msg {
             Msg::Leased { lease, msg } => (Some(lease), *msg),
@@ -1036,7 +871,7 @@ impl ServerInner {
             self.stats.drain_rejections.inc();
             return Some(Msg::Err("server draining: not accepting new transactions".into()));
         }
-        if self.media.is_read_only() {
+        if self.media().is_read_only() {
             match msg {
                 Msg::WriteAt { .. }
                 | Msg::Commit { .. }
@@ -1176,14 +1011,14 @@ impl ServerInner {
         let stale: Vec<(GTxn, u32)> = {
             let leased: std::collections::HashSet<u32> =
                 self.leases.lock().keys().copied().collect();
-            self.prepared
-                .lock()
-                .iter()
-                .filter_map(|(g, p)| {
-                    let shipper = p.shipper?;
+            self.pipeline
+                .branches()
+                .into_iter()
+                .filter_map(|b| {
+                    let shipper = b.shipper?;
                     (!leased.contains(&shipper)
-                        && now.duration_since(p.prepared_at) >= self.cfg.coordinator_grace)
-                        .then_some((*g, shipper))
+                        && now.duration_since(b.prepared_at) >= self.cfg.coordinator_grace)
+                        .then_some((b.gtxn, shipper))
                 })
                 .collect()
         };
@@ -1219,21 +1054,6 @@ impl ServerInner {
                 self.decide(gtxn, commit);
             }
         }
-    }
-
-    /// Records a failed log force: counted in `server.log_force_failures`
-    /// and fed into the media-error threshold, so a persistently failing
-    /// log device trips auto read-only exactly like a failing storage
-    /// area. (Successful forces do not reset the streak themselves — the
-    /// storage-side `note_media(true)` of the next applied commit does.)
-    fn note_log_force_failure(&self) {
-        self.stats.log_force_failures.inc();
-        self.note_media(false);
-    }
-
-    /// Tracks a storage-write outcome; repeated failures trip read-only.
-    fn note_media(&self, ok: bool) {
-        self.media.note(ok);
     }
 
     fn dispatch(&self, from: NodeId, msg: Msg) -> Msg {
@@ -1309,7 +1129,7 @@ impl ServerInner {
             } => match self.areas.get(area) {
                 Some(a) => {
                     let mut buf = vec![0u8; len as usize];
-                    match self.with_repair(&a, page, || a.read_at(page, offset as usize, &mut buf))
+                    match self.pipeline.verified(&a, page, || a.read_at(page, offset as usize, &mut buf))
                     {
                         Ok(()) => Msg::Bytes(buf),
                         Err(e) => Msg::Err(e.to_string()),
@@ -1324,13 +1144,13 @@ impl ServerInner {
                 data,
             } => match self.areas.get(area) {
                 Some(a) => {
-                    match self.with_repair(&a, page, || a.write_at(page, offset as usize, &data)) {
+                    match self.pipeline.verified(&a, page, || a.write_at(page, offset as usize, &data)) {
                         Ok(()) => {
-                            self.note_media(true);
+                            self.media().note(true);
                             Msg::Ok
                         }
                         Err(e) => {
-                            self.note_media(false);
+                            self.media().note(false);
                             Msg::Err(e.to_string())
                         }
                     }
@@ -1383,43 +1203,12 @@ impl ServerInner {
         match self.areas.get(page.area) {
             Some(a) => {
                 let mut buf = vec![0u8; a.page_size()];
-                match self.with_repair(&a, page.page, || a.read_page(page.page, &mut buf)) {
+                match self.pipeline.verified(&a, page.page, || a.read_page(page.page, &mut buf)) {
                     Ok(()) => Msg::PageData(buf),
                     Err(e) => Msg::Err(e.to_string()),
                 }
             }
             None => Msg::Err(format!("no area {}", page.area)),
-        }
-    }
-
-    /// Runs a verified storage operation with the detect-and-repair
-    /// ladder: the area itself already re-read once, so a surviving
-    /// checksum/identity failure is escalated to WAL-based page
-    /// reconstruction and the operation retried exactly once.
-    /// Unrepairable pages are quarantined inside [`repair_page`] and the
-    /// failure feeds the media-error threshold; already-quarantined pages
-    /// are never re-repaired here (the error passes straight through).
-    fn with_repair<T>(
-        &self,
-        a: &Arc<StorageArea>,
-        page: u64,
-        mut op: impl FnMut() -> Result<T, StorageError>,
-    ) -> Result<T, StorageError> {
-        let first = op();
-        let repairable = matches!(
-            &first,
-            Err(StorageError::CorruptPage { reason, .. })
-                if !matches!(reason, CorruptKind::Quarantined)
-        );
-        if !repairable {
-            return first;
-        }
-        if repair_page(a, &self.log, page, &self.integrity) {
-            self.note_media(true);
-            op()
-        } else {
-            self.note_media(false);
-            first
         }
     }
 
@@ -1547,98 +1336,17 @@ impl ServerInner {
         }
     }
 
-    fn append_updates(&self, txn: u64, mut prev: Lsn, updates: &[PageUpdate]) -> Lsn {
-        for u in updates {
-            prev = self.log.append(
-                txn,
-                prev,
-                LogBody::Update {
-                    page: LogPageId {
-                        area: u.page.area,
-                        page: u.page.page,
-                    },
-                    offset: u.offset,
-                    before: u.before.clone(),
-                    after: u.after.clone(),
-                },
-            );
-        }
-        prev
-    }
-
-    /// Applies committed updates, stamping each touched page's header
-    /// with the commit LSN (the page-LSN invariant the deep scrubber's
-    /// lost-write check relies on, §16). A corrupt destination page is
-    /// repaired from the WAL first — the repair replays this very
-    /// transaction too, since its commit record is already durable.
-    fn apply_updates(&self, updates: &[PageUpdate], lsn: Lsn) -> Result<(), String> {
-        // One scatter-gather submission per area: the area reads each
-        // distinct destination page once, patches every update into it and
-        // writes each page back once ([`StorageArea::write_at_lsn_batch`]).
-        // Pages the batch could not apply fall back to the
-        // detect-and-repair ladder one page at a time.
-        let mut by_area: Vec<(u32, Vec<&PageUpdate>)> = Vec::new();
-        for u in updates {
-            match by_area.iter_mut().find(|(a, _)| *a == u.page.area) {
-                Some((_, v)) => v.push(u),
-                None => by_area.push((u.page.area, vec![u])),
-            }
-        }
-        for (area_id, batch) in by_area {
-            let area = self
-                .areas
-                .get(area_id)
-                .ok_or_else(|| format!("no area {area_id}"))?;
-            let store: Vec<bess_storage::PageUpdate<'_>> = batch
-                .iter()
-                .map(|u| bess_storage::PageUpdate {
-                    page: u.page.page,
-                    offset: u.offset as usize,
-                    data: &u.after,
-                    lsn: lsn.0,
-                })
-                .collect();
-            for (page, res) in area.write_at_lsn_batch(&store) {
-                if res.is_ok() {
-                    continue;
-                }
-                // Replay this page's updates individually under the
-                // repair ladder; `with_repair` escalates a surviving
-                // corruption to WAL reconstruction and retries once.
-                let r = self.with_repair(&area, page, || {
-                    for u in batch.iter().filter(|u| u.page.page == page) {
-                        area.write_at_lsn(u.page.page, u.offset as usize, &u.after, lsn.0)?;
-                    }
-                    Ok(())
-                });
-                if let Err(e) = r {
-                    self.note_media(false);
-                    return Err(e.to_string());
-                }
-            }
-        }
-        self.note_media(true);
-        Ok(())
-    }
-
     /// Single-server commit: WAL (force) then apply.
     fn do_commit(&self, txn: u64, updates: &[PageUpdate]) -> Msg {
         let _timer = self.commit_ns.start();
         let _span = self.group.registry().span("commit", txn);
-        let _gate = self.commit_gate.read();
-        let begin = self.log.append(txn, Lsn::NULL, LogBody::Begin);
-        let prev = self.append_updates(txn, begin, updates);
-        let commit = self.log.append(txn, prev, LogBody::Commit);
-        if let Err(e) = self.log.flush(commit) {
-            self.note_log_force_failure();
-            return Msg::Err(format!("log force failed: {e}"));
+        match self.pipeline.commit(txn, updates) {
+            Ok(_) => {
+                self.stats.commits.inc();
+                Msg::Ok
+            }
+            Err(e) => Msg::Err(e.to_string()),
         }
-        if let Err(e) = self.apply_updates(updates, commit) {
-            return Msg::Err(e);
-        }
-        self.log.append(txn, commit, LogBody::End);
-        self.stats.commits.inc();
-        Msg::Ok
     }
 
     /// Stages a branch's write set for [`Self::do_prepare`], tagged with
@@ -1665,7 +1373,7 @@ impl ServerInner {
     /// released right here, saving the trailing `ReleaseAll` message.
     fn do_prepare(&self, gtxn: GTxn, locker: u32, release_locks: bool) -> Vote {
         let (shipper, updates) = match self.pending.lock().remove(&gtxn) {
-            Some((s, u)) => (Some(s), u),
+            Some(staged) => staged,
             None => {
                 self.stats.two_pc_readonly_votes.inc();
                 if release_locks && locker != 0 {
@@ -1674,65 +1382,27 @@ impl ServerInner {
                 return Vote::ReadOnly;
             }
         };
-        // Logged and in `prepared`, or neither, as a checkpoint sees it.
-        let _gate = self.commit_gate.read();
-        let begin = self.log.append(gtxn, Lsn::NULL, LogBody::Begin);
-        let prev = self.append_updates(gtxn, begin, &updates);
-        let prepare = self.log.append(gtxn, prev, LogBody::Prepare);
-        if self.log.flush(prepare).is_err() {
-            self.note_log_force_failure();
-            return Vote::No;
+        match self.pipeline.prepare(gtxn, updates, Some(shipper)) {
+            Ok(()) => {
+                self.stats.prepares.inc();
+                Vote::Yes
+            }
+            Err(_) => Vote::No,
         }
-        self.prepared.lock().insert(
-            gtxn,
-            PreparedTxn {
-                updates,
-                first_lsn: begin,
-                last_lsn: prepare,
-                shipper,
-                prepared_at: Instant::now(),
-            },
-        );
-        self.stats.prepares.inc();
-        Vote::Yes
     }
 
     /// 2PC phase 2 at a participant. Idempotent.
     fn decide(&self, gtxn: GTxn, commit: bool) {
-        // In `prepared`, or applied, as a checkpoint sees it.
-        let _gate = self.commit_gate.read();
-        let Some(p) = self.prepared.lock().remove(&gtxn) else {
-            return;
+        match self.pipeline.resolve(gtxn, commit) {
+            Ok(Resolution::NotPrepared) => return,
+            // The Commit record could not be forced: the branch is still
+            // prepared (locks stay held, still in doubt) and the reaper
+            // re-queries the coordinator once the log heals.
+            Err(CommitError::LogForce(_) | CommitError::NoLog) => return,
+            // Durably committed, whether or not every page took the write.
+            Ok(Resolution::Committed) | Err(CommitError::Apply(_)) => self.stats.commits.inc(),
+            Ok(Resolution::Aborted) => self.stats.aborts.inc(),
         };
-        if commit {
-            let c = self.log.append(gtxn, p.last_lsn, LogBody::Commit);
-            if self.log.flush(c).is_err() {
-                // A participant that cannot force the Commit record must
-                // not pretend phase 2 happened: the branch goes back to
-                // prepared (locks stay held, still in doubt) and the
-                // reaper re-queries the coordinator once the log heals.
-                // The coordinator's decision is already durable, so retry
-                // is safe; swallowing the error here would apply pages
-                // whose commit could be lost by the next crash.
-                self.note_log_force_failure();
-                self.prepared.lock().insert(gtxn, p);
-                return;
-            }
-            let _ = self.apply_updates(&p.updates, c);
-            self.log.append(gtxn, c, LogBody::End);
-            self.stats.commits.inc();
-        } else {
-            let a = self.log.append(gtxn, p.last_lsn, LogBody::Abort);
-            let mut target = AreaTarget(Arc::clone(&self.areas));
-            let _ = undo_transactions(&self.log, vec![(gtxn, a)], &mut target);
-            if self.log.flush_all().is_err() {
-                // Safe to continue — presumed abort means a lost Abort
-                // record re-aborts on recovery — but the failure counts
-                // toward the read-only threshold instead of vanishing.
-                self.note_log_force_failure();
-            }
-            self.stats.aborts.inc();
-        }
         // Release the in-doubt page locks, if recovery took them.
         self.locks.unlock_all(TxnId(gtxn));
     }
@@ -1848,7 +1518,7 @@ impl ServerInner {
         if self.log.flush(l).is_err() {
             // The round dies with no durable decision; once it is
             // deregistered, presumed abort legitimately applies.
-            self.note_log_force_failure();
+            self.pipeline.note_log_force_failure();
             self.coordinating.lock().remove(&gtxn);
             return Msg::Err("coordinator log force failed".into());
         }
@@ -1896,10 +1566,7 @@ impl ServerInner {
     /// with [`Self::enqueue_prepare`]. A pump that dies or times out
     /// resolves to [`Vote::No`].
     fn await_vote(&self, p: u32, gtxn: GTxn) -> Vote {
-        let deadline = Instant::now()
-            + self.cfg.rpc_timeout
-            + self.cfg.two_pc.max_wait
-            + self.cfg.rpc_timeout;
+        let deadline = Instant::now() + self.cfg.rpc_timeout + self.cfg.rpc_timeout;
         let mut slots = self.prep_slots.lock();
         loop {
             if let Some(v) = slots.entry(p).or_default().votes.remove(&gtxn) {
@@ -1936,14 +1603,13 @@ impl ServerInner {
     }
 
     /// One phase-1 pump: gathers queued prepares for participant `p` into
-    /// [`Msg::PrepareBatch`] frames (optionally holding a `max_wait`
-    /// gather window), sends each frame outside the lock, and distributes
-    /// the votes; committers wake on the condvar. With `max_wait == 0`
-    /// batching still happens whenever every pump's frame is in flight —
-    /// later rounds pile up behind them and the next free pump takes the
-    /// whole queue at once.
+    /// [`Msg::PrepareBatch`] frames, sends each frame outside the lock, and
+    /// distributes the votes; committers wake on the condvar. Batching
+    /// happens whenever every pump's frame is in flight — later rounds
+    /// pile up behind them and the next free pump takes the queue (up to
+    /// [`PREP_BATCH_MAX`]) at once, without adding latency to an
+    /// uncontended round.
     fn prep_pump(&self, p: u32) {
-        let two_pc = self.cfg.two_pc;
         loop {
             let batch: Vec<PrepareItem> = {
                 let mut slots = self.prep_slots.lock();
@@ -1959,23 +1625,8 @@ impl ServerInner {
                     self.prep_cv
                         .wait_for(&mut slots, Duration::from_millis(100));
                 }
-                if !two_pc.max_wait.is_zero() {
-                    // Optional gather window: hold the frame open for
-                    // stragglers until it fills or the window closes.
-                    let until = Instant::now() + two_pc.max_wait;
-                    loop {
-                        let n = slots.entry(p).or_default().queue.len();
-                        let now = Instant::now();
-                        if n >= two_pc.max_batch || now >= until {
-                            break;
-                        }
-                        // LINT: allow(blocking-under-lock) — condvar wait
-                        // releases the mutex while blocked.
-                        self.prep_cv.wait_for(&mut slots, until - now);
-                    }
-                }
                 let slot = slots.entry(p).or_default();
-                let take = slot.queue.len().min(two_pc.max_batch.max(1));
+                let take = slot.queue.len().min(PREP_BATCH_MAX);
                 slot.queue.drain(..take).collect()
             };
             if batch.is_empty() {

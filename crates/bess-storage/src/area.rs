@@ -76,10 +76,6 @@ pub struct AreaConfig {
     /// Whether the area may grow one extent at a time when full. `false`
     /// models a raw disk partition of fixed size.
     pub expandable: bool,
-    /// Whether reads verify the page's integrity header (default `true`).
-    /// Disabling is for measuring the verification overhead (§E23) only;
-    /// quarantine checks still apply.
-    pub verify_on_read: bool,
 }
 
 impl Default for AreaConfig {
@@ -89,7 +85,6 @@ impl Default for AreaConfig {
             extent_pages_log2: 8,
             initial_extents: 1,
             expandable: true,
-            verify_on_read: true,
         }
     }
 }
@@ -363,7 +358,6 @@ impl StorageArea {
             extent_pages_log2,
             initial_extents: num_extents.max(1),
             expandable,
-            verify_on_read: true,
         };
         let (group, stats) = area_obs(id);
         let backend = Backend::new(dev, &group, stats.read_retries.clone());
@@ -659,9 +653,6 @@ impl StorageArea {
     /// path and [`Self::read_pages_batch`], where the first read arrives
     /// via a batched completion instead of a blocking call.
     fn verify_with_reread(&self, page: u64, slot: &mut [u8]) -> StorageResult<u64> {
-        if !self.config.verify_on_read {
-            return Ok(integrity::header_lsn(slot));
-        }
         match integrity::verify(self.id.0, page, slot) {
             Ok(lsn) => Ok(lsn),
             Err(first) => {
@@ -773,23 +764,6 @@ impl StorageArea {
         assert!(offset + data.len() <= self.config.page_size);
         let mut slot = vec![0u8; PAGE_HDR + self.config.page_size];
         let lsn = self.read_slot_verified(page, &mut slot)?;
-        slot[PAGE_HDR + offset..PAGE_HDR + offset + data.len()].copy_from_slice(data);
-        self.seal_and_write(page, lsn, &mut slot)
-    }
-
-    /// Like [`Self::write_at`], but stamps `lsn` as the page's new recovery
-    /// LSN — used by the transactional apply path, where the commit
-    /// record's LSN is known.
-    pub fn write_at_lsn(
-        &self,
-        page: u64,
-        offset: usize,
-        data: &[u8],
-        lsn: u64,
-    ) -> StorageResult<()> {
-        assert!(offset + data.len() <= self.config.page_size);
-        let mut slot = vec![0u8; PAGE_HDR + self.config.page_size];
-        self.read_slot_verified(page, &mut slot)?;
         slot[PAGE_HDR + offset..PAGE_HDR + offset + data.len()].copy_from_slice(data);
         self.seal_and_write(page, lsn, &mut slot)
     }
@@ -1380,14 +1354,22 @@ mod tests {
     }
 
     #[test]
-    fn write_at_preserves_lsn_and_write_at_lsn_stamps_it() {
+    fn write_at_preserves_lsn_and_write_at_lsn_batch_stamps_it() {
         let area = StorageArea::create_mem(AreaId(1), AreaConfig::default()).unwrap();
         let seg = area.alloc(1).unwrap();
         let page = vec![0u8; area.page_size()];
         area.write_page_lsn(seg.start_page, &page, 41).unwrap();
         area.write_at(seg.start_page, 4, b"keep").unwrap();
         assert_eq!(area.verify_page(seg.start_page).unwrap(), 41);
-        area.write_at_lsn(seg.start_page, 4, b"bump", 42).unwrap();
+        let bump = PageUpdate {
+            page: seg.start_page,
+            offset: 4,
+            data: b"bump",
+            lsn: 42,
+        };
+        for (_, res) in area.write_at_lsn_batch(&[bump]) {
+            res.unwrap();
+        }
         assert_eq!(area.verify_page(seg.start_page).unwrap(), 42);
         let mut back = vec![0u8; area.page_size()];
         area.read_page(seg.start_page, &mut back).unwrap();
@@ -1508,33 +1490,6 @@ mod tests {
         area.read_page(seg.start_page, &mut back).unwrap();
         assert_eq!(back[0], 1, "the uncovered byte is the old one");
         assert_eq!(area.verify_page(seg.start_page).unwrap(), 11);
-    }
-
-    #[test]
-    fn verify_disabled_skips_checks_but_not_quarantine() {
-        let config = AreaConfig {
-            verify_on_read: false,
-            ..AreaConfig::default()
-        };
-        let disk = FaultDisk::new(FaultPlan::unarmed());
-        let area = StorageArea::create_faulty(AreaId(3), config, Arc::clone(&disk)).unwrap();
-        let seg = area.alloc(1).unwrap();
-        let page = vec![0x5Au8; area.page_size()];
-        disk.arm(FaultPlan::armed(
-            OpClass::Write,
-            0,
-            FaultKind::BitRot {
-                offset: data_byte(&area, seg.start_page, 9),
-                mask: 0x10,
-            },
-        ));
-        area.write_page(seg.start_page, &page).unwrap();
-        let mut back = vec![0u8; area.page_size()];
-        // Verification off: the rotted page is served (measurement mode).
-        area.read_page(seg.start_page, &mut back).unwrap();
-        assert_ne!(back, page);
-        area.quarantine(seg.start_page);
-        assert!(area.read_page(seg.start_page, &mut back).is_err());
     }
 }
 

@@ -66,10 +66,9 @@ fn fold(hash: u64, word: u64) -> u64 {
 
 /// Word-folded FNV-1a over `header[0..24] ++ data`: eight bytes per
 /// multiply instead of one, split across four independent lanes so the
-/// multiply chains overlap. This sits on every disk read when
-/// `verify_on_read` is on, and the §E23 budget (cached-read overhead
-/// ≤ 5%) is what forced it off the textbook byte-serial loop — roughly
-/// a 20× difference on a 4 KiB page.
+/// multiply chains overlap. This sits on every disk read, which is what
+/// forced it off the textbook byte-serial loop — roughly a 20× difference
+/// on a 4 KiB page (EXPERIMENTS.md E23).
 ///
 /// Not the same function as the byte-serial [`checksum`] the WAL frames
 /// use; page checksums never leave the slot they seal, so the folding
@@ -182,13 +181,6 @@ pub fn verify(area: u32, page: u64, slot: &[u8]) -> StorageResult<u64> {
     Ok(le_u64(&hdr[16..24]))
 }
 
-/// The LSN field of a sealed slot, without verifying the checksum. Used
-/// by the deep scrub pass after `verify` has already succeeded.
-#[must_use]
-pub fn header_lsn(slot: &[u8]) -> u64 {
-    le_u64(&slot[16..24])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,7 +191,6 @@ mod tests {
         let mut slot = vec![0u8; PAGE_HDR + 64];
         seal(7, 42, 99, &data, &mut slot);
         assert_eq!(verify(7, 42, &slot).unwrap(), 99);
-        assert_eq!(header_lsn(&slot), 99);
         assert_eq!(&slot[PAGE_HDR..], &data[..]);
     }
 

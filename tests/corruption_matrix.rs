@@ -49,7 +49,6 @@ fn small_area() -> AreaConfig {
         extent_pages_log2: 4,
         initial_extents: 1,
         expandable: true,
-        verify_on_read: true,
     }
 }
 

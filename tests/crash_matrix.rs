@@ -8,8 +8,9 @@
 //!
 //! 1. builds a tiny area + log on faulty disks (setup is fault-free);
 //! 2. arms one `(op class, n, kind)` fault and runs a fixed workload of
-//!    six transactions (commits, a runtime abort with CLRs, a fuzzy
-//!    checkpoint, a 2PC prepare, and a loser stolen to the platter);
+//!    six transactions (commits and a 2PC prepare through the
+//!    `CommitPipeline` that ships, a scripted runtime abort with CLRs, a
+//!    fuzzy checkpoint, and a scripted loser stolen to the platter);
 //! 3. crashes both disks (unsynced bytes are lost), reopens them fresh,
 //!    and runs `recover_embedded`;
 //! 4. checks the **oracle invariants**: every byte range equals the
@@ -20,7 +21,9 @@
 //! Because the oracle is computed from the reopened log's durable prefix
 //! alone, the same checker validates every fault point — whichever
 //! prefix of the workload survived. Double-crash tests arm a second
-//! fault *during recovery* and assert the third run still converges.
+//! fault *during recovery* and assert the third run still converges. A
+//! second, smaller workload drives the same pipeline from above: three
+//! commits of an embedded `Session`, killed at every device op.
 //!
 //! The full sweeps (every write index × several tear points, etc.) run
 //! with `--features crash-tests`; the default run keeps a representative
@@ -29,8 +32,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use bess_cache::AreaSet;
-use bess_core::recover_embedded;
+use bess_cache::{AreaSet, DbPage};
+use bess_core::{recover_embedded, Database, RawBytes, Ref, Session, SessionConfig};
+use bess_server::{CommitPipeline, PageUpdate};
 use bess_storage::{
     AreaConfig, AreaId, FaultDisk, FaultKind, FaultPlan, OpClass, StorageArea,
 };
@@ -47,19 +51,19 @@ const PAGE_SIZE: usize = 256;
 /// Bytes tracked (and asserted) at the head of each page.
 const TRACKED: usize = 24;
 
-const VAL_T1: u8 = 0xA1; // committed, forced          -> A[0..8]
-const VAL_T2A: u8 = 0xA2; // committed, forced          -> A[8..16]
-const VAL_T2B: u8 = 0xB2; // committed, NOT written back -> B[0..8]
+const VAL_T1: u8 = 0xA1; // committed, synced          -> A[0..8]
+const VAL_T2A: u8 = 0xA2; // committed, applied unsynced -> A[8..16]
+const VAL_T2B: u8 = 0xB2; // committed, applied unsynced -> B[0..8]
 const VAL_T3: u8 = 0xB3; // aborted at runtime (CLRs)  -> B[8..16], net zero
 const VAL_T4: u8 = 0xC4; // prepared (in doubt)        -> C[0..8]
-const VAL_T5: u8 = 0xC5; // committed, NOT written back -> C[8..16]
+const VAL_T5: u8 = 0xC5; // committed, applied unsynced -> C[8..16]
 const VAL_T6: u8 = 0xB6; // loser, stolen to platter   -> B[16..24]
 
 struct Rig {
     area_disk: Arc<FaultDisk>,
     log_disk: Arc<FaultDisk>,
     set: Arc<AreaSet>,
-    log: LogManager,
+    log: Arc<LogManager>,
     /// Allocated page numbers for A, B, C.
     pages: [u64; 3],
 }
@@ -70,7 +74,6 @@ fn small_area() -> AreaConfig {
         extent_pages_log2: 4,
         initial_extents: 1,
         expandable: true,
-        verify_on_read: true,
     }
 }
 
@@ -85,7 +88,7 @@ fn build_rig() -> Rig {
     let ptr = area.alloc(4).unwrap();
     let pages = [ptr.start_page, ptr.start_page + 1, ptr.start_page + 2];
     area.sync().unwrap();
-    let log = LogManager::create_faulty(Arc::clone(&log_disk)).unwrap();
+    let log = Arc::new(LogManager::create_faulty(Arc::clone(&log_disk)).unwrap());
     // Make the fresh header (master = null) durable, like mkfs would.
     log.set_master(Lsn::NULL).unwrap();
     let set = AreaSet::new();
@@ -108,6 +111,19 @@ impl Rig {
     }
 }
 
+/// The same update as [`upd`] (before-image zeros) in the pipeline's form.
+fn pupd(page: LogPageId, offset: u32, after: u8) -> PageUpdate {
+    PageUpdate {
+        page: DbPage {
+            area: page.area,
+            page: page.page,
+        },
+        offset,
+        before: vec![0; 8],
+        after: vec![after; 8],
+    }
+}
+
 fn upd(page: LogPageId, offset: u32, before: u8, after: u8) -> LogBody {
     LogBody::Update {
         page,
@@ -127,25 +143,23 @@ fn run_workload(rig: &Rig) -> Result<(), String> {
     let area = rig.set.get(0).unwrap();
     let log = &rig.log;
     let e = |m: String| m;
+    // t1, t2, t4 and t5 go through the pipeline the server and the embedded
+    // session commit through; the steal/abort legs (t3, t6) stay scripted
+    // record by record — they test the WAL, not the pipeline.
+    let pipeline = CommitPipeline::new(Arc::clone(&rig.set), Some(Arc::clone(&rig.log)));
 
     // t1: commit, then force A to the platter.
-    let prev = log.append(1, Lsn::NULL, LogBody::Begin);
-    let prev = log.append(1, prev, upd(a, 0, 0, VAL_T1));
-    log.append(1, prev, LogBody::Commit);
-    log.flush_all().map_err(|x| e(x.to_string()))?;
-    area.write_at(rig.pages[0], 0, &[VAL_T1; 8])
+    pipeline
+        .commit(1, &[pupd(a, 0, VAL_T1)])
         .map_err(|x| e(x.to_string()))?;
     area.sync().map_err(|x| e(x.to_string()))?;
 
-    // t2: commit; A forced again, B left dirty (no-force: redo must repair).
-    let prev = log.append(2, Lsn::NULL, LogBody::Begin);
-    let prev = log.append(2, prev, upd(a, 8, 0, VAL_T2A));
-    let t2_b = log.append(2, prev, upd(b, 0, 0, VAL_T2B));
-    log.append(2, t2_b, LogBody::Commit);
-    log.flush_all().map_err(|x| e(x.to_string()))?;
-    area.write_at(rig.pages[0], 8, &[VAL_T2A; 8])
+    // t2: commit on A and B; applied, not synced (no-force: until t3's
+    // steal syncs the area, redo must repair both).
+    let t2_begin = log.next_lsn();
+    pipeline
+        .commit(2, &[pupd(a, 8, VAL_T2A), pupd(b, 0, VAL_T2B)])
         .map_err(|x| e(x.to_string()))?;
-    area.sync().map_err(|x| e(x.to_string()))?;
 
     // t3: update B, steal the dirty page, then abort at runtime — the undo
     // writes a CLR chained by undo_next and an End, and restores the bytes.
@@ -160,20 +174,19 @@ fn run_workload(rig: &Rig) -> Result<(), String> {
     undo_transactions(log, vec![(3, abort)], &mut target).map_err(|x| e(x.to_string()))?;
     log.flush_all().map_err(|x| e(x.to_string()))?;
 
-    // Fuzzy checkpoint: B is still dirty (t2's update was never forced).
-    take_checkpoint(log, vec![(b, t2_b)], vec![]).map_err(|x| e(x.to_string()))?;
+    // Fuzzy checkpoint naming B dirty since t2 (conservative: t3's steal
+    // synced t2's write, the undo's write is still volatile).
+    take_checkpoint(log, vec![(b, t2_begin)], vec![]).map_err(|x| e(x.to_string()))?;
 
     // t4: prepared — in doubt until the coordinator's verdict.
-    let prev = log.append(4, Lsn::NULL, LogBody::Begin);
-    let prev = log.append(4, prev, upd(c, 0, 0, VAL_T4));
-    log.append(4, prev, LogBody::Prepare);
-    log.flush_all().map_err(|x| e(x.to_string()))?;
+    pipeline
+        .prepare(4, vec![pupd(c, 0, VAL_T4)], None)
+        .map_err(|x| e(x.to_string()))?;
 
-    // t5: commit on the same page as t4, disjoint bytes, not forced.
-    let prev = log.append(5, Lsn::NULL, LogBody::Begin);
-    let prev = log.append(5, prev, upd(c, 8, 0, VAL_T5));
-    log.append(5, prev, LogBody::Commit);
-    log.flush_all().map_err(|x| e(x.to_string()))?;
+    // t5: commit on the same page as t4, disjoint bytes; applied, not synced.
+    pipeline
+        .commit(5, &[pupd(c, 8, VAL_T5)])
+        .map_err(|x| e(x.to_string()))?;
 
     // t6: a loser — still active at the crash, its dirty page stolen.
     let prev = log.append(6, Lsn::NULL, LogBody::Begin);
@@ -189,8 +202,8 @@ fn run_workload(rig: &Rig) -> Result<(), String> {
 // `dry_run_op_counts` so the sweeps below cannot silently shrink.
 const LOG_WRITES: u64 = 9;
 const LOG_SYNCS: u64 = 9;
-const AREA_WRITES: u64 = 5;
-const AREA_SYNCS: u64 = 4;
+const AREA_WRITES: u64 = 7;
+const AREA_SYNCS: u64 = 3;
 
 // ---------------------------------------------------------------------------
 // The oracle: classify transactions from the durable log prefix and compute
@@ -244,12 +257,15 @@ fn classify(log: &LogManager) -> Classified {
 }
 
 /// The page bytes recovery must produce: the after-images of winners and
-/// in-doubt transactions applied in log order; everything else rolled back
-/// to zeros. (Byte ranges of distinct transactions never overlap in the
-/// workload, mirroring strict 2PL.)
-fn expected_pages(log: &LogManager, classes: &Classified, rig: &Rig) -> BTreeMap<u64, Vec<u8>> {
-    let mut pages: BTreeMap<u64, Vec<u8>> =
-        rig.pages.iter().map(|&p| (p, vec![0u8; TRACKED])).collect();
+/// in-doubt transactions applied in log order over `base` (the pages as
+/// they durably stood before the workload); everything else rolled back
+/// to `base`. (Byte ranges of distinct transactions never overlap in the
+/// workloads, mirroring strict 2PL.)
+fn expected_pages(
+    log: &LogManager,
+    classes: &Classified,
+    mut pages: BTreeMap<u64, Vec<u8>>,
+) -> BTreeMap<u64, Vec<u8>> {
     for rec in log.iter() {
         let keep = classes.winners.contains(&rec.txn) || classes.in_doubt.contains(&rec.txn);
         if !keep {
@@ -264,7 +280,7 @@ fn expected_pages(log: &LogManager, classes: &Classified, rig: &Rig) -> BTreeMap
         {
             if let Some(image) = pages.get_mut(&page.page) {
                 let start = offset as usize;
-                let end = (start + after.len()).min(TRACKED);
+                let end = (start + after.len()).min(image.len());
                 if start < end {
                     image[start..end].copy_from_slice(&after[..end - start]);
                 }
@@ -274,12 +290,12 @@ fn expected_pages(log: &LogManager, classes: &Classified, rig: &Rig) -> BTreeMap
     pages
 }
 
-fn actual_pages(set: &AreaSet, rig: &Rig) -> BTreeMap<u64, Vec<u8>> {
+/// The first `len` bytes of each of `pages`, as area 0 of `set` holds them.
+fn actual_pages(set: &AreaSet, pages: impl Iterator<Item = u64>, len: usize) -> BTreeMap<u64, Vec<u8>> {
     let area = set.get(0).unwrap();
-    rig.pages
-        .iter()
-        .map(|&p| {
-            let mut buf = vec![0u8; TRACKED];
+    pages
+        .map(|p| {
+            let mut buf = vec![0u8; len];
             area.read_at(p, 0, &mut buf).unwrap();
             (p, buf)
         })
@@ -287,26 +303,33 @@ fn actual_pages(set: &AreaSet, rig: &Rig) -> BTreeMap<u64, Vec<u8>> {
 }
 
 /// Reopens both disks fresh (unsynced bytes lost), recovers, and checks
-/// every invariant. Returns the first recovery's report.
-fn verify_recovery(rig: &Rig) -> RecoveryReport {
-    rig.area_disk.reopen(FaultPlan::unarmed());
-    rig.log_disk.reopen(FaultPlan::unarmed());
-    let area = StorageArea::open_faulty(AreaId(0), Arc::clone(&rig.area_disk), true)
+/// every invariant against `base`, the tracked pages as they durably stood
+/// before the workload. Returns the first recovery's report.
+fn verify_recovery_over(
+    area_disk: &Arc<FaultDisk>,
+    log_disk: &Arc<FaultDisk>,
+    base: &BTreeMap<u64, Vec<u8>>,
+) -> RecoveryReport {
+    area_disk.reopen(FaultPlan::unarmed());
+    log_disk.reopen(FaultPlan::unarmed());
+    let area = StorageArea::open_faulty(AreaId(0), Arc::clone(area_disk), true)
         .expect("area reopens after crash");
     let set = AreaSet::new();
     set.add(Arc::new(area));
     let set = Arc::new(set);
-    let log = LogManager::open_faulty(Arc::clone(&rig.log_disk)).expect("log reopens after crash");
+    let log = LogManager::open_faulty(Arc::clone(log_disk)).expect("log reopens after crash");
+    let tracked = base.values().next().map_or(0, Vec::len);
+    let actual = |set: &AreaSet| actual_pages(set, base.keys().copied(), tracked);
 
     // Oracle from the durable prefix, before recovery appends anything.
     let classes = classify(&log);
-    let expected = expected_pages(&log, &classes, rig);
+    let expected = expected_pages(&log, &classes, base.clone());
 
     let report = recover_embedded(&log, &set).expect("recovery succeeds");
 
     // Committed data byte-identical; losers rolled back; in-doubt retained.
     assert_eq!(
-        actual_pages(&set, rig),
+        actual(&set),
         expected,
         "recovered bytes disagree with the durable-log oracle\nclasses: {classes:?}\nreport: {report:?}"
     );
@@ -329,12 +352,15 @@ fn verify_recovery(rig: &Rig) -> RecoveryReport {
     );
     let in_doubt2: BTreeSet<u64> = report2.in_doubt.iter().copied().collect();
     assert_eq!(in_doubt2, classes.in_doubt, "in-doubt must survive recovery");
-    assert_eq!(
-        actual_pages(&set, rig),
-        expected,
-        "recovery is not idempotent"
-    );
+    assert_eq!(actual(&set), expected, "recovery is not idempotent");
     report
+}
+
+/// [`verify_recovery_over`] for the scripted rig: its three pages' tracked
+/// heads, all zeros before the workload.
+fn verify_recovery(rig: &Rig) -> RecoveryReport {
+    let base = rig.pages.iter().map(|&p| (p, vec![0u8; TRACKED])).collect();
+    verify_recovery_over(&rig.area_disk, &rig.log_disk, &base)
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -557,6 +583,121 @@ fn area_sync_fault_sweep() {
 }
 
 // ---------------------------------------------------------------------------
+// The embedded session: the same pipeline under the object layer. Three
+// committed updates through `Session::commit`, killed at every log write,
+// log sync and area write the fault-free run issues.
+// ---------------------------------------------------------------------------
+
+/// An embedded session over faulty disks with three committed objects;
+/// `base` is every data page of the area as setup left it, durably.
+struct SessionRig {
+    area_disk: Arc<FaultDisk>,
+    log_disk: Arc<FaultDisk>,
+    session: Arc<Session>,
+    objs: Vec<Ref<RawBytes>>,
+    base: BTreeMap<u64, Vec<u8>>,
+}
+
+fn build_session_rig() -> SessionRig {
+    let area_disk = FaultDisk::new(FaultPlan::unarmed());
+    let log_disk = FaultDisk::new(FaultPlan::unarmed());
+    let area =
+        StorageArea::create_faulty(AreaId(0), AreaConfig::default(), Arc::clone(&area_disk))
+            .unwrap();
+    let set = AreaSet::new();
+    set.add(Arc::new(area));
+    let set = Arc::new(set);
+    let log = Arc::new(LogManager::create_faulty(Arc::clone(&log_disk)).unwrap());
+    log.set_master(Lsn::NULL).unwrap();
+    let db = Database::create(&*Arc::clone(&set), "matrix", 1, 1, 0).unwrap();
+    let session = Session::embedded(
+        db,
+        Arc::clone(&set),
+        Some(Arc::clone(&log)),
+        None,
+        SessionConfig::default(),
+    );
+    session.begin().unwrap();
+    let seg = session.create_segment(0, 32, 4).unwrap();
+    let objs = (0..3)
+        .map(|_| session.create_bytes(seg, &[0u8; 64]).unwrap())
+        .collect();
+    session.commit().unwrap();
+    session.save_db().unwrap();
+    let area = set.get(0).unwrap();
+    area.sync().unwrap();
+    let pages = (0..area.num_pages()).filter(|&p| area.is_data_page(p));
+    let base = actual_pages(&set, pages, area.page_size());
+    SessionRig {
+        area_disk,
+        log_disk,
+        session,
+        objs,
+        base,
+    }
+}
+
+/// Three transactions, each rewriting the head of one object; stops at the
+/// first commit that fails (the injected fault is where the process dies).
+fn run_session_workload(rig: &SessionRig) -> Result<(), String> {
+    for (i, &obj) in rig.objs.iter().enumerate() {
+        rig.session.begin().map_err(|e| e.to_string())?;
+        rig.session
+            .put_bytes(obj, 0, &[0xD0 + i as u8; 8])
+            .map_err(|e| e.to_string())?;
+        rig.session.commit().map_err(|e| e.to_string())?;
+    }
+    Ok(())
+}
+
+#[test]
+fn embedded_session_crash_sweep() {
+    // Calibrate: the ops a fault-free run issues after setup.
+    let rig = build_session_rig();
+    let (area_plan, log_plan) = (FaultPlan::unarmed(), FaultPlan::unarmed());
+    rig.area_disk.arm(Arc::clone(&area_plan));
+    rig.log_disk.arm(Arc::clone(&log_plan));
+    run_session_workload(&rig).unwrap();
+    rig.area_disk.crash();
+    rig.log_disk.crash();
+    let report = verify_recovery_over(&rig.area_disk, &rig.log_disk, &rig.base);
+    assert!(report.losers.is_empty() && report.in_doubt.is_empty());
+    // The oracle had something to check: the three updates are on the pages.
+    let set = AreaSet::new();
+    set.add(Arc::new(
+        StorageArea::open_faulty(AreaId(0), Arc::clone(&rig.area_disk), true).unwrap(),
+    ));
+    let len = set.get(0).unwrap().page_size();
+    let changed = actual_pages(&set, rig.base.keys().copied(), len)
+        .iter()
+        .filter(|(p, image)| rig.base[*p] != **image)
+        .count();
+    assert!(changed >= 1, "the workload changed no page");
+    let cells = [
+        (Target::Log, OpClass::Write, log_plan.ops(OpClass::Write)),
+        (Target::Log, OpClass::Sync, log_plan.ops(OpClass::Sync)),
+        (Target::Area, OpClass::Write, area_plan.ops(OpClass::Write)),
+    ];
+    for (target, class, ops) in cells {
+        assert!(ops >= 3, "{target:?} {class:?}: three commits issue at least three, not {ops}");
+        for nth in 0..ops {
+            let rig = build_session_rig();
+            let plan = FaultPlan::armed(class, nth, FaultKind::Crash);
+            match target {
+                Target::Area => rig.area_disk.arm(Arc::clone(&plan)),
+                Target::Log => rig.log_disk.arm(Arc::clone(&plan)),
+            }
+            let res = run_session_workload(&rig);
+            assert_eq!(plan.fired(), 1, "{target:?} {class:?} {nth} never fired");
+            assert!(res.is_err(), "{target:?} {class:?} {nth}: a commit survived a dead device");
+            rig.area_disk.crash();
+            rig.log_disk.crash();
+            verify_recovery_over(&rig.area_disk, &rig.log_disk, &rig.base);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Recovery-time faults: the double-crash tier. The first recovery attempt
 // runs under an armed plan; whatever it manages (or fails) to do, a second
 // crash and a clean recovery must still converge to the oracle.
@@ -741,10 +882,10 @@ fn redo_starts_mid_log_after_checkpoint() {
         report.redo_start
     );
     // The analysis window is bounded by the checkpoint: t1..t3 finished
-    // before it, so only the checkpoint-end and the records of t4..t6 are
-    // scanned — far fewer than the whole log.
+    // before it, so only the checkpoint's two records and those of t4..t6
+    // (t5's `End` included) are scanned — far fewer than the whole log.
     assert!(
-        report.scanned <= 10,
+        report.scanned <= 11,
         "scanned {} records despite the checkpoint",
         report.scanned
     );

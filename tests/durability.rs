@@ -8,14 +8,14 @@ use std::time::Duration;
 
 use bess_cache::{AreaSet, DbPage};
 use bess_core::{recover_embedded, Database, RawBytes, Ref, Session, SessionConfig};
-use bess_lock::LockMode;
+use bess_lock::{LockManager, LockMode, TxnId};
 use bess_net::{Network, NodeId};
 use bess_server::{
     register_areas, BessServer, ClientConfig, ClientConn, Directory, Msg, PageUpdate, PrepareItem,
     ServerConfig, Vote,
 };
-use bess_storage::{AreaConfig, AreaId, FaultDisk, FaultPlan, StorageArea};
-use bess_wal::LogManager;
+use bess_storage::{AreaConfig, AreaId, FaultDisk, FaultKind, FaultPlan, OpClass, StorageArea};
+use bess_wal::{LogBody, LogManager};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     static N: AtomicU32 = AtomicU32::new(0);
@@ -358,4 +358,152 @@ fn checkpoints_racing_commits_lose_nothing() {
             );
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// The embedded session commits through the same pipeline as the server.
+// ---------------------------------------------------------------------------
+
+/// An embedded session with a lock manager over one area and a log, both
+/// on [`FaultDisk`]s, with one committed object to update.
+struct EmbeddedRig {
+    area_disk: Arc<FaultDisk>,
+    log_disk: Arc<FaultDisk>,
+    set: Arc<AreaSet>,
+    log: Arc<LogManager>,
+    locks: Arc<LockManager>,
+    session: Arc<Session>,
+    obj: Ref<RawBytes>,
+}
+
+fn embedded_rig() -> EmbeddedRig {
+    let area_disk = FaultDisk::new(FaultPlan::unarmed());
+    let log_disk = FaultDisk::new(FaultPlan::unarmed());
+    let set = Arc::new(AreaSet::new());
+    set.add(Arc::new(
+        StorageArea::create_faulty(AreaId(0), AreaConfig::default(), Arc::clone(&area_disk))
+            .unwrap(),
+    ));
+    let log = Arc::new(LogManager::create_faulty(Arc::clone(&log_disk)).unwrap());
+    let locks = Arc::new(LockManager::new(Duration::from_millis(100)));
+    let db = Database::create(&*Arc::clone(&set), "embedded", 1, 1, 0).unwrap();
+    let session = Session::embedded(
+        db,
+        Arc::clone(&set),
+        Some(Arc::clone(&log)),
+        Some(Arc::clone(&locks)),
+        SessionConfig::default(),
+    );
+    session.begin().unwrap();
+    let seg = session.create_segment(0, 32, 4).unwrap();
+    let obj = session.create_bytes(seg, b"committed").unwrap();
+    session.commit().unwrap();
+    EmbeddedRig {
+        area_disk,
+        log_disk,
+        set,
+        log,
+        locks,
+        session,
+        obj,
+    }
+}
+
+impl EmbeddedRig {
+    /// Updates the object in a fresh transaction and commits; returns the
+    /// transaction id and the commit's outcome.
+    fn update_and_commit(&self) -> (u64, Result<(), String>) {
+        let txn = self.session.begin().unwrap();
+        self.session.put_bytes(self.obj, 0, b"UPDATED").unwrap();
+        assert!(
+            !self.locks.held_by(TxnId(txn)).is_empty(),
+            "the update took a page lock"
+        );
+        (txn, self.session.commit().map_err(|e| e.to_string()))
+    }
+
+    /// Whatever the commit did, the transaction is over.
+    fn assert_transaction_over(&self, txn: u64) {
+        assert_eq!(self.locks.held_by(TxnId(txn)), vec![], "locks leaked");
+        assert_eq!(self.session.current_txn(), None, "transaction still open");
+        let next = self.session.begin().expect("the session can begin again");
+        self.session.abort().unwrap();
+        assert_eq!(self.locks.held_by(TxnId(next)), vec![]);
+    }
+
+    /// `(txn, kind)` of the log's records, in order.
+    fn log_shape(&self) -> Vec<(u64, &'static str)> {
+        self.log
+            .iter()
+            .filter_map(|r| match r.body {
+                LogBody::Commit => Some((r.txn, "commit")),
+                LogBody::End => Some((r.txn, "end")),
+                _ => None,
+            })
+            .collect()
+    }
+}
+
+#[test]
+fn embedded_commit_whose_log_force_fails_holds_nothing() {
+    let rig = embedded_rig();
+    rig.log_disk
+        .arm(FaultPlan::armed(OpClass::Write, 0, FaultKind::Eio));
+    let (txn, res) = rig.update_and_commit();
+    assert!(res.is_err(), "the force failed, the commit must say so");
+    rig.assert_transaction_over(txn);
+}
+
+#[test]
+fn embedded_commit_whose_area_write_fails_holds_nothing() {
+    // The device dies at the commit's first page write.
+    let rig = embedded_rig();
+    rig.area_disk
+        .arm(FaultPlan::armed(OpClass::Write, 0, FaultKind::Crash));
+    let (txn, res) = rig.update_and_commit();
+    assert!(res.is_err(), "no page could be written");
+    rig.assert_transaction_over(txn);
+    // `End` means "on its pages": the commit record is there, `End` is not.
+    let shape = rig.log_shape();
+    assert!(shape.contains(&(txn, "commit")), "{shape:?}");
+    assert!(!shape.contains(&(txn, "end")), "End before the apply: {shape:?}");
+
+    // One failed write is retried page by page and absorbed.
+    let rig = embedded_rig();
+    rig.area_disk
+        .arm(FaultPlan::armed(OpClass::Write, 0, FaultKind::Eio));
+    let (txn, res) = rig.update_and_commit();
+    assert_eq!(res, Ok(()));
+    rig.assert_transaction_over(txn);
+    assert!(rig.session.begin().is_ok());
+    assert_eq!(&rig.session.get_bytes(rig.obj).unwrap()[..7], b"UPDATED");
+}
+
+/// The page-LSN invariant (DESIGN.md §16) holds for embedded commits too:
+/// every page a commit wrote carries its commit record's LSN, and `End`
+/// follows the commit record only once the pages are written.
+#[test]
+fn embedded_commit_stamps_pages_and_ends_after_apply() {
+    let rig = embedded_rig();
+    let (txn, res) = rig.update_and_commit();
+    assert_eq!(res, Ok(()));
+    let records: Vec<_> = rig.log.iter().filter(|r| r.txn == txn).collect();
+    let commit = records
+        .iter()
+        .find(|r| r.body == LogBody::Commit)
+        .expect("a commit record");
+    let written: Vec<u64> = records
+        .iter()
+        .filter_map(|r| match &r.body {
+            LogBody::Update { page, .. } => Some(page.page),
+            _ => None,
+        })
+        .collect();
+    assert!(!written.is_empty(), "the update logged a page");
+    let area = rig.set.get(0).unwrap();
+    for page in written {
+        assert_eq!(area.verify_page(page).unwrap(), commit.lsn.0, "page {page}");
+    }
+    let last = records.last().unwrap();
+    assert!(last.body == LogBody::End && last.prev_lsn == commit.lsn);
 }
