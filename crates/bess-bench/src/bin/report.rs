@@ -883,12 +883,12 @@ fn e19_failure_containment(report: &mut JsonReport) {
     println!(
         "One client runs `begin; fetch(X); commit` against one server with a \
          deterministic network fault armed at a chosen outbound message \
-         (msg 2 is the commit). After the workload the client's lease is \
+         (msg 1 is the commit). After the workload the client's lease is \
          force-expired, standing in for a crashed workstation.\n"
     );
 
-    // Client message layout for this workload: 0 BeginTxn, 1 FetchPage,
-    // 2 Commit, 3 ReleaseAll.
+    // Client message layout for this workload: 0 FetchPage (announcing the
+    // transaction), 1 Commit, 2 ReleaseAll.
     let run = |fault: Option<(u64, NetFaultKind)>, die_before_commit: bool| {
         let world = World::new(&[&[0]], Duration::ZERO);
         let seg = world.area_sets[0].get(0).unwrap().alloc(1).unwrap();
@@ -932,9 +932,9 @@ fn e19_failure_containment(report: &mut JsonReport) {
     println!("|---|---|---|---|---|---|");
     for (label, fault, die) in [
         ("clean run", None, false),
-        ("commit request dropped", Some((2, NetFaultKind::Drop)), false),
-        ("commit reply lost", Some((2, NetFaultKind::DropReply)), false),
-        ("commit duplicated on the wire", Some((2, NetFaultKind::Duplicate)), false),
+        ("commit request dropped", Some((1, NetFaultKind::Drop)), false),
+        ("commit reply lost", Some((1, NetFaultKind::DropReply)), false),
+        ("commit duplicated on the wire", Some((1, NetFaultKind::Duplicate)), false),
         ("client dies holding an X lock", None, true),
     ] {
         let (committed, cli, srv, world) = run(fault, die);
@@ -964,13 +964,16 @@ fn e19_failure_containment(report: &mut JsonReport) {
         cfg.caching = false;
         ClientConn::connect(&world.net, Arc::clone(&world.dir), cfg)
     };
+    let seg = world.area_sets[0].get(0).unwrap().alloc(1).unwrap();
+    let page = bess_cache::DbPage { area: 0, page: seg.start_page };
+    // A new transaction is refused at its first request, which announces it.
     world.servers[0].set_draining(true);
-    let drained = client.begin().is_err();
+    client.begin().unwrap();
+    let drained = client.fetch_page(page, bess_lock::LockMode::X).is_err();
+    client.abort().unwrap();
     world.servers[0].set_draining(false);
     world.servers[0].set_read_only(true);
     client.begin().unwrap();
-    let seg = world.area_sets[0].get(0).unwrap().alloc(1).unwrap();
-    let page = bess_cache::DbPage { area: 0, page: seg.start_page };
     client.fetch_page(page, bess_lock::LockMode::X).unwrap();
     let rejected = client
         .commit(vec![PageUpdate { page, offset: 0, before: vec![0; 2], after: b"xx".to_vec() }])
@@ -1397,7 +1400,7 @@ fn e25_sublinear_2pc(report: &mut JsonReport) {
         "Presumed-commit one-way decides, batched concurrent phase 1, \
          read-only participant votes, every branch and the next global id \
          riding the `CommitGlobal` frame, plus the client opts \
-         (`ClientOpts::turbo`): lazy begin, deferred release trailers, \
+         (`ClientOpts::turbo`): deferred release trailers, \
          read-only participants releasing locks at their vote. \
          Non-caching clients throughout. Baseline columns are the \
          recorded figures of the retired presumed-abort protocol.\n"

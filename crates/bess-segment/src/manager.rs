@@ -35,8 +35,8 @@ use bess_cache::{DbPage, PoolError, PrivatePool};
 use bess_largeobj::{LargeObject, LoConfig, LoError};
 use bess_storage::{DiskPtr, DiskSpace, StorageError};
 use bess_vm::{
-    Access, AddressSpace, Fault, FaultHandler, FaultOutcome, Protect, VAddr, VRange, VmError,
-    VmResult,
+    Access, AddressSpace, Fault, FaultHandler, FaultOutcome, FrameState, Protect, VAddr, VRange,
+    VmError, VmResult,
 };
 use parking_lot::{Mutex, RwLock};
 
@@ -113,6 +113,10 @@ impl From<LoError> for SegError {
 
 /// Result alias for segment operations.
 pub type SegResult<T> = Result<T, SegError>;
+
+/// Most pages one re-fault brings back: the page it is for and its nearest
+/// evicted neighbours in the segment (see `SegmentManager::refault`).
+const REFAULT_BATCH: usize = 8;
 
 /// Whether BeSS protects its control structures with the VM hardware
 /// (§2.2). `Unprotected` is the ablation baseline for the protection-cost
@@ -488,17 +492,14 @@ impl SegmentManager {
                 Err(_) => FaultOutcome::Deny,
             },
             SegState::Loaded { .. } => {
-                // A page was demoted or evicted: refetch just that page.
+                // A page was demoted or evicted.
                 let page_idx =
                     fault.addr.offset_from(rt.slotted_range.start()) / self.psz();
-                let db_page = rt.slotted_db_page(page_idx);
+                let page = rt.slotted_db_page(page_idx);
                 let addr = fault.addr.page_base(self.psz());
-                let prot = match self.policy {
-                    ProtectionPolicy::Protected => Protect::Read,
-                    ProtectionPolicy::Unprotected => Protect::ReadWrite,
-                };
-                match self.pool.fault_in(db_page, addr, prot) {
-                    Ok(_) => FaultOutcome::Resume,
+                let data = Self::swizzled_data(&state);
+                match self.refault(&rt, data, page, addr, self.slotted_prot()) {
+                    Ok(()) => FaultOutcome::Resume,
                     Err(_) => FaultOutcome::Deny,
                 }
             }
@@ -517,10 +518,7 @@ impl SegmentManager {
             .group
             .registry()
             .span("fault.wave2", rt.id.start_page);
-        let prot = match self.policy {
-            ProtectionPolicy::Protected => Protect::Read,
-            ProtectionPolicy::Unprotected => Protect::ReadWrite,
-        };
+        let prot = self.slotted_prot();
         // Prefetch pipelining: the whole slotted run goes to the pool as
         // one batch, which the I/O queue submits as a single
         // scatter-gather read instead of one device wait per page.
@@ -641,34 +639,38 @@ impl SegmentManager {
             }
             *data_loaded = true;
         }
+        let data = Self::swizzled_data(&state);
         drop(state);
-        // Grant the faulted page (and detect the update on writes).
-        let addr = fault.addr.page_base(self.psz());
-        let Ok(view_data_ptr) = SlottedView::new(&self.space, rt.slotted_range.start()).data_ptr()
-        else {
+        let Some((data_disk, _)) = data else {
             return FaultOutcome::Deny;
         };
+        // Grant the faulted page (and detect the update on writes).
+        let addr = fault.addr.page_base(self.psz());
         let page_idx = addr.offset_from(data_range.start()) / self.psz();
         let db_page = DbPage {
-            area: view_data_ptr.area.0,
-            page: view_data_ptr.start_page + page_idx,
+            area: data_disk.area.0,
+            page: data_disk.start_page + page_idx,
         };
-        let prot = match fault.access {
-            Access::Read => Protect::Read,
-            Access::Write => Protect::ReadWrite,
+        let granted = match fault.access {
+            Access::Read => self.refault(&rt, data, db_page, addr, Protect::Read),
+            Access::Write => self.grant_write(db_page, addr),
         };
-        if fault.access == Access::Write {
-            if let Some(obs) = self.observer.read().clone() {
-                if obs.on_first_write(db_page).is_err() {
-                    return FaultOutcome::Deny;
-                }
-            }
-            self.stats.write_detections.inc();
-        }
-        match self.pool.fault_in(db_page, addr, prot) {
-            Ok(_) => FaultOutcome::Resume,
+        match granted {
+            Ok(()) => FaultOutcome::Resume,
             Err(_) => FaultOutcome::Deny,
         }
+    }
+
+    /// The first write to a data page: the observer hears of it (and can
+    /// refuse it), then the page becomes writable.
+    fn grant_write(&self, page: DbPage, addr: VAddr) -> Result<(), PoolError> {
+        if let Some(obs) = self.observer.read().clone() {
+            if obs.on_first_write(page).is_err() {
+                return Err(PoolError::LoadFailed { page });
+            }
+        }
+        self.stats.write_detections.inc();
+        self.pool.fault_in(page, addr, Protect::ReadWrite).map(drop)
     }
 
     /// Wave 3: fetch the whole data segment and swizzle outgoing refs.
@@ -817,34 +819,26 @@ impl SegmentManager {
     fn bigfixed_fault(self: &Arc<Self>, disk: DiskPtr, fault: Fault) -> FaultOutcome {
         // Fetch the whole object "in one step" (§2.1).
         let base = fault.region.start();
-        let prot = match fault.access {
-            Access::Read => Protect::Read,
-            Access::Write => Protect::ReadWrite,
-        };
+        let written = (fault.access == Access::Write).then(|| fault.addr.page_base(self.psz()));
+        let (mut read, mut write) = (Vec::new(), None);
         for i in 0..u64::from(disk.pages) {
             let addr = base.add(i * self.psz());
-            let want = if addr == fault.addr.page_base(self.psz()) {
-                prot
-            } else {
-                Protect::Read
-            };
             let db_page = DbPage {
                 area: disk.area.0,
                 page: disk.start_page + i,
             };
-            if fault.access == Access::Write && want == Protect::ReadWrite {
-                if let Some(obs) = self.observer.read().clone() {
-                    if obs.on_first_write(db_page).is_err() {
-                        return FaultOutcome::Deny;
-                    }
-                }
-                self.stats.write_detections.inc();
-            }
-            if self.pool.fault_in(db_page, addr, want).is_err() {
-                return FaultOutcome::Deny;
+            if written == Some(addr) {
+                write = Some((db_page, addr));
+            } else {
+                read.push((db_page, addr));
             }
         }
-        FaultOutcome::Resume
+        let fetched = self.pool.fault_in_batch(&read, Protect::Read);
+        let granted = fetched.and_then(|()| write.map_or(Ok(()), |(p, a)| self.grant_write(p, a)));
+        match granted {
+            Ok(()) => FaultOutcome::Resume,
+            Err(_) => FaultOutcome::Deny,
+        }
     }
 
     // ---- helpers ---------------------------------------------------------
@@ -888,17 +882,90 @@ impl SegmentManager {
         }
     }
 
+    /// How a slotted page is mapped when the engine is not updating it.
+    fn slotted_prot(&self) -> Protect {
+        match self.policy {
+            ProtectionPolicy::Protected => Protect::Read,
+            ProtectionPolicy::Unprotected => Protect::ReadWrite,
+        }
+    }
+
+    /// The data segment of a segment whose wave 3 has run — on disk and in
+    /// memory. Before that its pages are not the re-fault helper's to load.
+    fn swizzled_data(state: &SegState) -> Option<(DiskPtr, VRange)> {
+        match state {
+            SegState::Loaded {
+                data_range,
+                data_disk,
+                data_loaded: true,
+            } => Some((*data_disk, *data_range)),
+            _ => None,
+        }
+    }
+
+    /// Makes `page` of loaded segment `rt` accessible again at `addr`. If
+    /// it was evicted, the same batched load also brings back the
+    /// segment's other evicted pages that map with the same protection —
+    /// slotted and (`data`: see [`Self::swizzled_data`]) data pages,
+    /// nearest page index first, at most [`REFAULT_BATCH`] in all: a
+    /// segment is evicted piecemeal and wanted back together. Only `page`
+    /// is what the caller asked for, so only its failure is one.
+    fn refault(
+        &self,
+        rt: &SegRuntime,
+        data: Option<(DiskPtr, VRange)>,
+        page: DbPage,
+        addr: VAddr,
+        prot: Protect,
+    ) -> Result<(), PoolError> {
+        let evicted = |at: VAddr| self.space.frame_state(at) == FrameState::Invalid;
+        if !evicted(addr) {
+            // Demoted by the clock: nothing to load.
+            return self.pool.fault_in(page, addr, prot).map(drop);
+        }
+        let psz = self.psz();
+        let slotted = (0..u64::from(rt.slotted_disk.pages)).map(|i| {
+            let at = rt.slotted_range.start().add(i * psz);
+            (i, rt.slotted_db_page(i), at, self.slotted_prot())
+        });
+        let data = data.into_iter().flat_map(|(disk, range)| {
+            (0..u64::from(disk.pages)).map(move |i| {
+                let page = DbPage {
+                    area: disk.area.0,
+                    page: disk.start_page + i,
+                };
+                (i, page, range.start().add(i * psz), Protect::Read)
+            })
+        });
+        let all: Vec<(u64, DbPage, VAddr, Protect)> = slotted.chain(data).collect();
+        let index = all.iter().find(|c| c.2 == addr).map_or(0, |c| c.0);
+        let mut near: Vec<_> = all
+            .into_iter()
+            .filter(|&(_, _, at, p)| at != addr && p == prot && evicted(at))
+            .collect();
+        near.sort_by_key(|&(i, ..)| i.abs_diff(index));
+        let batch: Vec<(DbPage, VAddr)> = std::iter::once((page, addr))
+            .chain(near.into_iter().map(|(_, p, at, _)| (p, at)))
+            .take(REFAULT_BATCH)
+            .collect();
+        let loaded = self.pool.fault_in_batch(&batch, prot);
+        match self.space.frame_state(addr) {
+            FrameState::Accessible => Ok(()),
+            FrameState::Invalid if loaded.is_err() => loaded,
+            // A pool smaller than the batch demoted or evicted the page
+            // while mapping the others.
+            _ => self.pool.fault_in(page, addr, prot).map(drop),
+        }
+    }
+
     /// Re-materialises any slotted pages the pool evicted; engine-internal
     /// (unchecked) accesses require the pages to be mapped.
     fn ensure_slotted_resident(&self, rt: &SegRuntime) -> SegResult<()> {
-        let prot = match self.policy {
-            ProtectionPolicy::Protected => Protect::Read,
-            ProtectionPolicy::Unprotected => Protect::ReadWrite,
-        };
+        let data = Self::swizzled_data(&rt.state.lock());
         for i in 0..u64::from(rt.slotted_disk.pages) {
             let addr = rt.slotted_range.start().add(i * self.psz());
-            if self.space.frame_state(addr) == bess_vm::FrameState::Invalid {
-                self.pool.fault_in(rt.slotted_db_page(i), addr, prot)?;
+            if self.space.frame_state(addr) == FrameState::Invalid {
+                self.refault(rt, data, rt.slotted_db_page(i), addr, self.slotted_prot())?;
             }
         }
         Ok(())
@@ -906,20 +973,20 @@ impl SegmentManager {
 
     /// Re-materialises any data pages the pool evicted.
     fn ensure_data_resident(&self, rt: &SegRuntime) -> SegResult<()> {
-        let view = SlottedView::new(&self.space, rt.slotted_range.start());
-        let data_ptr = view.data_ptr()?;
-        let data_range = self.data_range_of(rt)?;
-        for i in 0..u64::from(data_ptr.pages) {
-            let addr = data_range.start().add(i * self.psz());
-            if self.space.frame_state(addr) == bess_vm::FrameState::Invalid {
-                self.pool.fault_in(
-                    DbPage {
-                        area: data_ptr.area.0,
-                        page: data_ptr.start_page + i,
-                    },
-                    addr,
-                    Protect::Read,
-                )?;
+        let Some((disk, range)) = Self::swizzled_data(&rt.state.lock()) else {
+            return Err(SegError::Corrupt(format!(
+                "segment {} data range requested before load",
+                rt.id
+            )));
+        };
+        for i in 0..u64::from(disk.pages) {
+            let addr = range.start().add(i * self.psz());
+            if self.space.frame_state(addr) == FrameState::Invalid {
+                let page = DbPage {
+                    area: disk.area.0,
+                    page: disk.start_page + i,
+                };
+                self.refault(rt, Some((disk, range)), page, addr, Protect::Read)?;
             }
         }
         Ok(())
@@ -981,14 +1048,10 @@ impl SegmentManager {
         );
         let rt = self.reserve_segment(id)?;
         // Fault the (zeroed) pages in and initialise the header in place.
-        let prot = match self.policy {
-            ProtectionPolicy::Protected => Protect::Read,
-            ProtectionPolicy::Unprotected => Protect::ReadWrite,
-        };
-        for i in 0..u64::from(s_pages) {
-            let addr = rt.slotted_range.start().add(i * self.psz());
-            self.pool.fault_in(rt.slotted_db_page(i), addr, prot)?;
-        }
+        let pages: Vec<(DbPage, VAddr)> = (0..u64::from(s_pages))
+            .map(|i| (rt.slotted_db_page(i), rt.slotted_range.start().add(i * self.psz())))
+            .collect();
+        self.pool.fault_in_batch(&pages, self.slotted_prot())?;
         // Reserve the data range now; it is "loaded" (all zeroes are
         // valid fresh content).
         let data_len = u64::from(data.pages) * self.psz();
@@ -1129,16 +1192,16 @@ impl SegmentManager {
             seg: rt.id,
         });
         let new_range = self.space.reserve(new_len, Some(handler));
-        for i in 0..u64::from(new_pages) {
-            self.pool.fault_in(
-                DbPage {
+        let pages: Vec<(DbPage, VAddr)> = (0..u64::from(new_pages))
+            .map(|i| {
+                let page = DbPage {
                     area: target_area,
                     page: new_disk.start_page + i,
-                },
-                new_range.start().add(i * self.psz()),
-                Protect::Read,
-            )?;
-        }
+                };
+                (page, new_range.start().add(i * self.psz()))
+            })
+            .collect();
+        self.pool.fault_in_batch(&pages, Protect::Read)?;
         let old_base = old_range.start().raw();
         let new_base = new_range.start().raw();
         if compact {

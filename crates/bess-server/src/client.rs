@@ -23,6 +23,12 @@
 //! hold no images, and [`RemoteIo`] goes around them: the session's private
 //! pool is that client's data cache, and one stack needs one.
 //!
+//! ## Messages
+//!
+//! [`ClientConn::begin`] sends none: the transaction's first frame to its
+//! home (or gateway) announces it. A run of pages a buffer pool asks for
+//! together ([`PageIo::load_batch`]) costs one message per owner.
+//!
 //! It also implements [`PageIo`] (cache fills / write-backs for the
 //! client's buffer pools) and [`DiskSpace`] (disk allocation and raw byte
 //! I/O over RPC), which lets the entire `bess-segment` object machinery run
@@ -42,10 +48,9 @@ use bess_storage::{AreaId, DiskPtr, DiskSpace, StorageError, StorageResult};
 use parking_lot::{Mutex, RwLock};
 
 use crate::directory::Directory;
-use crate::proto::{Msg, PageUpdate, LEASE_LOST};
+use crate::proto::{granted_prefix, Msg, PageUpdate, LEASE_LOST};
 use crate::upstream::{
-    page_lock, refusal, Shipment, Upstream, UpstreamConfig, UpstreamCounters, MAX_RETRIES,
-    RETRY_BASE,
+    page_lock, Shipment, Upstream, UpstreamConfig, UpstreamCounters, MAX_RETRIES, RETRY_BASE,
 };
 
 /// Hook invoked when a callback releases a cached lock.
@@ -97,11 +102,6 @@ pub type ClientResult<T> = Result<T, ClientError>;
 /// sequences for the default client.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ClientOpts {
-    /// Allocate local transaction ids client-side instead of calling
-    /// `BeginTxn` at the home server. Ids carry the node in bits 32..63
-    /// and a set top bit, so they can never collide with server-issued
-    /// ids. Saves a round trip per transaction.
-    pub lazy_begin: bool,
     /// At end of transaction (non-caching clients), piggyback `ReleaseAll`
     /// as a trailer on the next message to each touched server instead of
     /// sending it standalone; the listener's idle tick flushes releases
@@ -119,7 +119,6 @@ impl ClientOpts {
     /// Every message-saving behaviour at once (bench/turbo preset).
     pub fn turbo() -> Self {
         ClientOpts {
-            lazy_begin: true,
             defer_release: true,
             release_read_locks: true,
         }
@@ -188,10 +187,15 @@ pub struct ClientStats {
     /// Lock requests served from the lock cache
     /// (`client.lock_cache_hits`).
     pub lock_cache_hits: Counter,
-    /// Combined fetch (lock+data) RPCs (`client.fetch_rpcs`).
+    /// Messages that asked for locks and the pages under them — one page
+    /// or several (`client.fetch_rpcs`).
     pub fetch_rpcs: Counter,
-    /// Data-only read RPCs (`client.read_rpcs`).
+    /// Messages that asked for pages only, the locks being held
+    /// (`client.read_rpcs`).
     pub read_rpcs: Counter,
+    /// Pages those two kinds of message brought back
+    /// (`client.pages_fetched`).
+    pub pages_fetched: Counter,
     /// Commits acknowledged to the caller (`client.commits`). Failed
     /// commit attempts count under [`ClientStats::commit_failures`]
     /// instead — the scenario harness cross-checks acked client commits
@@ -220,6 +224,7 @@ impl ClientStats {
             lock_cache_hits: group.counter("lock_cache_hits"),
             fetch_rpcs: group.counter("fetch_rpcs"),
             read_rpcs: group.counter("read_rpcs"),
+            pages_fetched: group.counter("pages_fetched"),
             commits: group.counter("commits"),
             commit_failures: group.counter("commit_failures"),
             aborts: group.counter("aborts"),
@@ -244,7 +249,7 @@ pub struct ClientConn {
     /// session runs software object-level locking and serialises on object
     /// locks instead).
     read_mode: Mutex<LockMode>,
-    /// Sequence for client-allocated local transaction ids (`lazy_begin`).
+    /// Sequence for transaction ids.
     // LINT: allow(raw-counter) — txn-id allocator, not a metric
     next_local_txn: AtomicU64,
     /// [`Upstream::lease_epoch`] when the open transaction began. A
@@ -314,6 +319,9 @@ impl ClientConn {
             UpstreamCounters {
                 lock_hits: stats.lock_cache_hits.clone(),
                 lock_rpcs: stats.lock_rpcs.clone(),
+                fetch_rpcs: stats.fetch_rpcs.clone(),
+                read_rpcs: stats.read_rpcs.clone(),
+                pages_fetched: stats.pages_fetched.clone(),
                 callbacks: stats.callbacks.clone(),
                 retries: stats.retries.clone(),
                 heartbeats: stats.heartbeats.clone(),
@@ -396,20 +404,15 @@ impl ClientConn {
 
     // ---- transactions ----------------------------------------------------
 
-    /// Begins a transaction. By default the id comes from the home server
-    /// (`BeginTxn`); with [`ClientOpts::lazy_begin`] it is allocated
-    /// locally — top bit set, node in bits 32..63 — which no server-issued
-    /// id can collide with, and the round trip is saved.
+    /// Begins a transaction, with no message: the id is allocated here —
+    /// top bit set, node in bits 32..63, which no server-issued (global)
+    /// id can collide with — and the transaction's first frame to the home
+    /// server (or the gateway) announces it. That frame is what a draining
+    /// server refuses.
     pub fn begin(&self) -> ClientResult<u64> {
-        let txn = if self.cfg.opts.lazy_begin {
-            let seq = self.next_local_txn.fetch_add(1, Ordering::Relaxed);
-            (1u64 << 63) | (u64::from(self.cfg.node.0) << 32) | (seq & 0xFFFF_FFFF)
-        } else {
-            match self.up.rpc(self.cfg.home, Msg::BeginTxn, false)? {
-                Msg::TxnId(t) => t,
-                other => return Err(refusal(other)),
-            }
-        };
+        let seq = self.next_local_txn.fetch_add(1, Ordering::Relaxed);
+        let txn = (1u64 << 63) | (u64::from(self.cfg.node.0) << 32) | (seq & 0xFFFF_FFFF);
+        self.up.announce(TxnId(txn));
         self.txn_lease_epoch.store(self.up.lease_epoch(), Ordering::SeqCst);
         *self.current_txn.lock() = Some(txn);
         Ok(txn)
@@ -453,19 +456,17 @@ impl ClientConn {
         } else {
             (lock_cache.acquire(TxnId(txn), name, mode), None)
         };
-        let data = match decision {
+        let need = match decision {
             CacheDecision::Hit => {
                 self.stats.lock_cache_hits.inc();
                 if let Some(data) = image {
                     return Ok(data);
                 }
-                self.read_page_rpc(page)?
+                None
             }
-            CacheDecision::Miss { need } => {
-                self.stats.fetch_rpcs.inc();
-                self.up.fetch_page(TxnId(txn), page, need)?
-            }
+            CacheDecision::Miss { need } => Some(need),
         };
+        let data = self.up.fetch_page(Some(TxnId(txn)), page, need)?;
         if images {
             // This transaction is a user of the lock, so no callback
             // released it since the server read the page.
@@ -494,8 +495,37 @@ impl ClientConn {
     }
 
     fn read_page_rpc(&self, page: DbPage) -> ClientResult<Vec<u8>> {
-        self.stats.read_rpcs.inc();
-        self.up.read_page(page, self.current_txn().is_some())
+        self.up.fetch_page(self.current_txn().map(TxnId), page, None)
+    }
+
+    /// [`Self::fetch_page`] under the read mode for several pages at once,
+    /// around the page images: the pages' lock-cache misses and the pages
+    /// themselves in one message per owner. Returns the content of the
+    /// pages up to the first whose lock was denied — at least the first
+    /// page's, or its error.
+    pub(crate) fn fetch_pages(&self, pages: &[DbPage]) -> ClientResult<Vec<Vec<u8>>> {
+        let txn = self.current_txn().ok_or(ClientError::NoTxn)?;
+        let mode = self.read_mode();
+        let shadowed = {
+            let overlay = self.overlay.lock();
+            pages.iter().any(|p| overlay.contains_key(p))
+        };
+        if shadowed {
+            // Uncommitted local state shadows the server, page by page.
+            return granted_prefix(pages.iter().map(|&page| self.fetch_inner(page, mode, false)));
+        }
+        let lock_cache = self.up.lock_cache();
+        let requests: Vec<(DbPage, Option<LockMode>)> = pages
+            .iter()
+            .map(|&page| match lock_cache.acquire(TxnId(txn), page_lock(page), mode) {
+                CacheDecision::Hit => {
+                    self.stats.lock_cache_hits.inc();
+                    (page, None)
+                }
+                CacheDecision::Miss { need } => (page, Some(need)),
+            })
+            .collect();
+        self.up.fetch_pages(Some(TxnId(txn)), &requests)
     }
 
     /// Commits the active transaction with the given page updates. Groups
@@ -526,7 +556,7 @@ impl ClientConn {
         let release_read_locks = self.cfg.opts.release_read_locks && !self.effective_caching();
         let shipment = self.up.route(updates, release_read_locks)?;
         let one_owner = matches!(shipment, Shipment::OneOwner(..));
-        let result = self.up.ship(txn, shipment);
+        let result = self.up.ship(TxnId(txn), txn, shipment);
         if one_owner && matches!(result, Err(ClientError::Net(_))) {
             // No answer: the transaction stays open for the caller to
             // abort.
@@ -563,7 +593,7 @@ impl ClientConn {
     /// (for non-caching clients) locks released.
     pub fn abort(&self) -> ClientResult<()> {
         let txn = self.current_txn().ok_or(ClientError::NoTxn)?;
-        let _ = self.up.rpc(self.cfg.home, Msg::Abort { txn }, true);
+        let _ = self.up.rpc(self.cfg.home, Msg::Abort { txn }, Some(TxnId(txn)));
         self.stats.aborts.inc();
         self.end_txn(txn)
     }
@@ -624,7 +654,7 @@ impl ClientConn {
     fn space_rpc(&self, area: u32, msg: Msg) -> StorageResult<Msg> {
         self.up
             .owner_of(area)
-            .and_then(|owner| self.up.rpc(owner, msg, self.current_txn().is_some()))
+            .and_then(|owner| self.up.rpc(owner, msg, self.current_txn().map(TxnId)))
             .map_err(|e| StorageError::Corrupt(e.to_string()))
     }
 }
@@ -660,6 +690,29 @@ impl PageIo for RemoteIo {
     fn write_back(&self, page: DbPage, data: &[u8]) -> Result<(), String> {
         self.0.overlay_put(page, data.to_vec());
         Ok(())
+    }
+
+    fn load_batch(&self, pages: &[DbPage], page_size: usize) -> Vec<Result<Vec<u8>, String>> {
+        if self.0.current_txn().is_none() {
+            // No locks to ask for: nothing is saved by asking together.
+            let load = |&page| {
+                let mut buf = vec![0u8; page_size];
+                self.load(page, &mut buf).map(|()| buf)
+            };
+            return pages.iter().map(load).collect();
+        }
+        match self.0.fetch_pages(pages) {
+            Ok(fetched) => {
+                let unfetched = pages.iter().skip(fetched.len());
+                let fetched = fetched.into_iter().map(|mut data| {
+                    data.truncate(page_size);
+                    Ok(data)
+                });
+                let unfetched = unfetched.map(|p| Err(format!("{p}: the fetch ended before it")));
+                fetched.chain(unfetched).collect()
+            }
+            Err(e) => vec![Err(e.to_string()); pages.len()],
+        }
     }
 }
 

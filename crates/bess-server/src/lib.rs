@@ -39,7 +39,7 @@ pub use client::{
 };
 pub use directory::Directory;
 pub use nodeserver::{NodeHandle, NodeServer, NodeServerConfig, NodeServerStats};
-pub use proto::{coordinator_of, GTxn, Msg, PageUpdate, PrepareItem, Vote};
+pub use proto::{coordinator_of, GTxn, Msg, PageUpdate, PrepareItem, Vote, DRAINING, LEASE_LOST};
 pub use scrub::{ScrubConfig, ScrubPassReport};
 pub use pipeline::{AreaTarget, CommitError, CommitPipeline, Resolution};
 pub use server::{register_areas, BessServer, ServerConfig, ServerStats};

@@ -28,18 +28,19 @@ use std::time::{Duration, Instant};
 
 use bess_obs::{Counter, Group, Registry};
 use bess_cache::{DbPage, GetOutcome, PageIo, SharedCache};
-use bess_lock::{LockCache, LockManager, LockMode, LockName, TxnId};
+use bess_lock::{CacheDecision, LockCache, LockManager, LockMode, LockName, TxnId};
 use bess_net::{Endpoint, NetError, Network, NodeId};
 use bess_vm::PageStore;
 use bess_wal::{LogBody, LogManager, Lsn};
 use parking_lot::{Condvar, Mutex};
 
-use crate::client::ClientError;
+use crate::client::{ClientError, ClientResult};
 use crate::directory::Directory;
 use crate::pipeline::{log_write_set, write_sets_of, LoggedWriteSet};
-use crate::proto::{Msg, PageUpdate};
+use crate::proto::{granted_prefix, single_page_reply, Msg, PageUpdate};
 use crate::upstream::{
-    page_lock, Shipment, Upstream, UpstreamConfig, UpstreamCounters, MAX_RETRIES, RETRY_BASE,
+    page_lock, reply_for, Shipment, Upstream, UpstreamConfig, UpstreamCounters, MAX_RETRIES,
+    RETRY_BASE,
 };
 
 /// Node-server configuration.
@@ -87,6 +88,8 @@ pub struct NodeServerStats {
     pub cache_hits: Counter,
     /// Pages fetched from owning servers (`nodeserver.remote_fetches`).
     pub remote_fetches: Counter,
+    /// Messages that fetched them (`nodeserver.fetch_messages`).
+    pub fetch_messages: Counter,
     /// Lock requests resolved locally, node-level lock already cached
     /// (`nodeserver.lock_local`).
     pub lock_local: Counter,
@@ -113,6 +116,7 @@ impl NodeServerStats {
         NodeServerStats {
             cache_hits: group.counter("cache_hits"),
             remote_fetches: group.counter("remote_fetches"),
+            fetch_messages: group.counter("fetch_messages"),
             lock_local: group.counter("lock_local"),
             lock_remote: group.counter("lock_remote"),
             callbacks: group.counter("callbacks"),
@@ -217,6 +221,9 @@ impl NodeServer {
             UpstreamCounters {
                 lock_hits: stats.lock_local.clone(),
                 lock_rpcs: stats.lock_remote.clone(),
+                fetch_rpcs: stats.fetch_messages.clone(),
+                read_rpcs: stats.fetch_messages.clone(),
+                pages_fetched: stats.remote_fetches.clone(),
                 callbacks: stats.callbacks.clone(),
                 ..UpstreamCounters::default()
             },
@@ -377,15 +384,23 @@ impl NsInner {
         // A local application's locks are held under its node's name.
         let app = TxnId(u64::from(from.0));
         match msg {
-            Msg::BeginTxn => Msg::TxnId(self.begin()),
+            // The application's transaction is announced to the owning
+            // servers by the first frame this node sends them for it.
+            Msg::BeginTxn => {
+                self.up.announce(app);
+                Msg::Ok
+            }
             Msg::Lock { name, mode } => self
                 .lock_for(app, name, mode)
                 .map_or_else(Msg::Denied, |()| Msg::Granted),
-            Msg::FetchPage { page, mode } => match self.lock_for(app, page_lock(page), mode) {
-                Ok(()) => self.page_bytes(page).map_or_else(Msg::Err, Msg::PageData),
-                Err(e) => Msg::Denied(e),
+            Msg::FetchPage { page, mode } => {
+                single_page_reply(self.fetch_for(app, &[(page, Some(mode))]))
+            }
+            Msg::ReadPage { page } => single_page_reply(self.fetch_for(app, &[(page, None)])),
+            Msg::FetchPages { pages } => match self.fetch_for(app, &pages) {
+                Ok(data) => Msg::PagesData(data),
+                Err(refusal) => refusal,
             },
-            Msg::ReadPage { page } => self.page_bytes(page).map_or_else(Msg::Err, Msg::PageData),
             Msg::Commit { txn, updates, .. } => self
                 .commit_for(app, txn, updates)
                 .map_or_else(Msg::Err, |()| Msg::Ok),
@@ -404,7 +419,7 @@ impl NsInner {
             | Msg::WriteAt { area, .. } => self
                 .up
                 .owner_of(area)
-                .and_then(|owner| self.up.rpc(owner, msg, false))
+                .and_then(|owner| self.up.rpc(owner, msg, None))
                 .unwrap_or_else(|e| Msg::Err(e.to_string())),
             // A server calls back a lock this node caches.
             Msg::Callback { name } | Msg::CallbackDowngrade { name, .. } => {
@@ -437,9 +452,110 @@ impl NsInner {
         })
     }
 
+    /// Serves `pages` to local transaction `app`: each under the lock mode
+    /// given (`None`: the application holds the lock). Local 2PL locks are
+    /// taken in request order and the first denial ends the request. Then
+    /// the node's lock cache and the shared cache are consulted together,
+    /// and each page costs its owner at most one message:
+    ///
+    /// | node-level lock | page in the shared cache | sent |
+    /// |---|---|---|
+    /// | missed | absent | lock and page in one ([`Upstream::fetch_pages`]) |
+    /// | cached | absent | the page (same message, no mode) |
+    /// | missed | resident | the lock ([`Upstream::request_lock`]) |
+    /// | cached | resident | nothing |
+    ///
+    /// The absent pages of one owner travel together. Returns the content
+    /// of the pages up to the first that could not be locked or read — or,
+    /// when that is the first page, the reply that says why.
+    fn fetch_for(
+        &self,
+        app: TxnId,
+        pages: &[(DbPage, Option<LockMode>)],
+    ) -> Result<Vec<Vec<u8>>, Msg> {
+        let mut locked = 0;
+        for &(page, mode) in pages {
+            if let Some(mode) = mode {
+                if let Err(e) = self.local_locks.lock(app, page_lock(page), mode) {
+                    if locked == 0 {
+                        return Err(Msg::Denied(e.to_string()));
+                    }
+                    break;
+                }
+            }
+            locked += 1;
+        }
+        let served = self.serve_locked(app, &pages[..locked]);
+        // What was locked for pages that are not served is given back, as
+        // a denied `Lock` gives its local lock back.
+        let kept = served.as_ref().map_or(0, Vec::len);
+        for &(page, mode) in &pages[kept..locked] {
+            if mode.is_some() {
+                let _ = self.local_locks.unlock(app, page_lock(page));
+            }
+        }
+        served.map_err(reply_for)
+    }
+
+    /// [`Self::fetch_for`] below the local locks.
+    fn serve_locked(
+        &self,
+        app: TxnId,
+        pages: &[(DbPage, Option<LockMode>)],
+    ) -> ClientResult<Vec<Vec<u8>>> {
+        // `pages[..reach]` can still be served. Residency is only peeked
+        // at: a slot is claimed after the owners answered, never held
+        // across a message, so two requests for overlapping pages cannot
+        // wait for each other's loads.
+        let mut reach = pages.len();
+        let mut absent: Vec<(usize, Option<LockMode>)> = Vec::new();
+        for (i, &(page, mode)) in pages.iter().enumerate() {
+            let name = page_lock(page);
+            let need = mode.and_then(|mode| match self.up.probe(app, name, mode) {
+                CacheDecision::Hit => None,
+                CacheDecision::Miss { need } => Some(need),
+            });
+            if self.cache.slot_of(page).is_none() {
+                absent.push((i, need));
+            } else if let Some(need) = need {
+                match self.up.request_lock(app, name, need) {
+                    Ok(()) => {}
+                    Err(e) if i == 0 => return Err(e),
+                    Err(_) => {
+                        reach = i;
+                        break;
+                    }
+                }
+            }
+        }
+        let mut fetched = Vec::new();
+        if let Some(&(first, _)) = absent.first() {
+            let requests: Vec<_> = absent.iter().map(|&(i, need)| (pages[i].0, need)).collect();
+            match self.up.fetch_pages(Some(app), &requests) {
+                Ok(data) => fetched = data,
+                Err(e) if first == 0 => return Err(e),
+                Err(_) => {}
+            }
+            if let Some(&(unfetched, _)) = absent.get(fetched.len()) {
+                reach = unfetched;
+            }
+        }
+        let mut fetched = absent.iter().map(|&(i, _)| i).zip(fetched).peekable();
+        let served = pages[..reach].iter().enumerate().map(|(i, &(page, _))| {
+            match fetched.next_if(|(at, _)| *at == i) {
+                Some((_, data)) => {
+                    self.install(page, &data);
+                    Ok(data)
+                }
+                None => self.page_bytes(page),
+            }
+        });
+        granted_prefix(served)
+    }
+
     /// Serves page bytes from the shared cache, fetching from the owning
-    /// server on a miss.
-    fn page_bytes(&self, page: DbPage) -> Result<Vec<u8>, String> {
+    /// server on a miss; the lock is held.
+    fn page_bytes(&self, page: DbPage) -> ClientResult<Vec<u8>> {
         match self.cache.get(page) {
             Ok(GetOutcome::Resident { slot, frame }) => {
                 self.stats.cache_hits.inc();
@@ -458,11 +574,7 @@ impl NsInner {
                 drop(evicted);
                 let loaded = self.fetch_remote(page);
                 match &loaded {
-                    Ok(data) => {
-                        self.cache.store().write(frame, 0, data);
-                        self.cache.finish_load(slot, page);
-                        self.cache.dec_access(slot);
-                    }
+                    Ok(data) => self.complete_load(slot, frame, page, data),
                     Err(_) => self.cache.abort_load(slot, page),
                 }
                 loaded
@@ -472,9 +584,34 @@ impl NsInner {
         }
     }
 
-    fn fetch_remote(&self, page: DbPage) -> Result<Vec<u8>, String> {
-        self.stats.remote_fetches.inc();
-        self.up.read_page(page, false).map_err(|e| e.to_string())
+    /// Completes the load of `page` into the slot [`SharedCache::get`]
+    /// handed out.
+    fn complete_load(&self, slot: usize, frame: bess_vm::FrameId, page: DbPage, data: &[u8]) {
+        self.cache.store().write(frame, 0, data);
+        self.cache.finish_load(slot, page);
+        self.cache.dec_access(slot);
+    }
+
+    /// Keeps `data`, just fetched from `page`'s owner, in the shared cache.
+    fn install(&self, page: DbPage, data: &[u8]) {
+        match self.cache.get(page) {
+            Ok(GetOutcome::MustLoad {
+                slot,
+                frame,
+                evicted,
+            }) => {
+                drop(evicted);
+                self.complete_load(slot, frame, page, data);
+            }
+            // Another application's fetch of it got here first.
+            Ok(GetOutcome::Resident { slot, .. }) => self.cache.dec_access(slot),
+            // Cache saturated: served without caching.
+            Err(_) => {}
+        }
+    }
+
+    fn fetch_remote(&self, page: DbPage) -> ClientResult<Vec<u8>> {
+        self.up.fetch_page(None, page, None)
     }
 
     /// Commits the local transaction `app` holds its locks under, as `txn`,
@@ -486,7 +623,7 @@ impl NsInner {
         let r = match self.local_log.clone() {
             Some(_) if updates.is_empty() => Ok(()),
             Some(log) => self.commit_locally(&log, txn, updates),
-            None => self.ship(txn, &updates).map(|()| self.refresh_cache(&updates)),
+            None => self.ship(app, txn, &updates).map(|()| self.refresh_cache(&updates)),
         };
         self.end_local_txn(app);
         r
@@ -509,7 +646,7 @@ impl NsInner {
         // 3. Write-behind shipping.
         let (inner, log) = (Arc::clone(self), Arc::clone(log));
         std::thread::spawn(move || {
-            let ok = inner.ship(txn, &updates).is_ok();
+            let ok = inner.ship(TxnId(txn), txn, &updates).is_ok();
             let mut pending = inner.unshipped.lock();
             if ok {
                 if let Some((commit, _)) = pending.remove(&txn) {
@@ -555,7 +692,7 @@ impl NsInner {
             write_sets_of(&log, &unshipped).into_iter().collect();
         to_ship.sort_by_key(|(_, set)| set.last);
         for (txn, set) in to_ship {
-            if self.ship(txn, &set.updates).is_ok() {
+            if self.ship(TxnId(txn), txn, &set.updates).is_ok() {
                 log.append(txn, set.last, LogBody::End);
                 reshipped += 1;
                 self.stats.reshipped.inc();
@@ -565,8 +702,10 @@ impl NsInner {
         reshipped
     }
 
-    /// Ships a commit to the owning servers (2PC when several own data).
-    fn ship(&self, txn: u64, updates: &[PageUpdate]) -> Result<(), String> {
+    /// Ships a commit to the owning servers (2PC when several own data);
+    /// `holder` as for [`Upstream::ship`] (write-behind shipments have none
+    /// any more: they pass the transaction itself).
+    fn ship(&self, holder: TxnId, txn: u64, updates: &[PageUpdate]) -> Result<(), String> {
         let shipment = self
             .up
             .route(updates.to_vec(), false)
@@ -580,7 +719,7 @@ impl NsInner {
                 self.stats.global_commits.inc();
             }
         }
-        self.up.ship(txn, shipment).map_err(|e| e.to_string())
+        self.up.ship(holder, txn, shipment).map_err(|e| e.to_string())
     }
 
     /// Callback safety under write-behind shipping: before releasing a
@@ -665,7 +804,7 @@ struct NsIo(Arc<NsInner>);
 
 impl PageIo for NsIo {
     fn load(&self, page: DbPage, buf: &mut [u8]) -> Result<(), String> {
-        let data = self.0.fetch_remote(page)?;
+        let data = self.0.fetch_remote(page).map_err(|e| e.to_string())?;
         buf.copy_from_slice(&data[..buf.len()]);
         Ok(())
     }

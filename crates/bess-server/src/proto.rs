@@ -84,11 +84,47 @@ pub struct PageUpdate {
 /// transaction it will not commit because the lease went during it.
 pub const LEASE_LOST: &str = "lease lost: the locks this transaction relied on were released";
 
+/// The [`Msg::Err`] text of a draining server refusing new work: a
+/// standalone [`Msg::BeginTxn`], a [`Msg::BeginGlobal`], or a whole frame
+/// whose `BeginTxn` trailer announced a transaction it will not admit.
+pub const DRAINING: &str = "server draining: not accepting new transactions";
+
+/// The granted prefix of a request for several pages ([`Msg::FetchPages`]):
+/// what `results` yields up to its first error — or that error, when it is
+/// the first thing yielded. Nothing after the error is evaluated.
+pub(crate) fn granted_prefix<T, E>(
+    results: impl IntoIterator<Item = Result<T, E>>,
+) -> Result<Vec<T>, E> {
+    let mut granted = Vec::new();
+    for result in results {
+        match result {
+            Ok(page) => granted.push(page),
+            Err(e) if granted.is_empty() => return Err(e),
+            Err(_) => break,
+        }
+    }
+    Ok(granted)
+}
+
+/// The reply of the single forms ([`Msg::FetchPage`], [`Msg::ReadPage`])
+/// from what the batch implementation served for their one page.
+pub(crate) fn single_page_reply(served: Result<Vec<Vec<u8>>, Msg>) -> Msg {
+    match served.map(|mut pages| pages.pop()) {
+        Ok(Some(data)) => Msg::PageData(data),
+        Ok(None) => Msg::Err("no page served".into()),
+        Err(refusal) => refusal,
+    }
+}
+
 /// Protocol messages.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Msg {
     // ---- client -> server requests -----------------------------------
-    /// Start a transaction; reply: [`Msg::TxnId`].
+    /// Announces a transaction the sender began on its own (it allocates
+    /// the id itself); reply: [`Msg::Ok`]. Sent as a trailer on the
+    /// transaction's first frame, never alone: a draining server refuses
+    /// the frame that carries it whole, so new work is turned away before
+    /// it holds a lock.
     BeginTxn,
     /// Acquire a lock (owner = requesting node) and return the page bytes;
     /// reply: [`Msg::PageData`] or [`Msg::Denied`].
@@ -103,6 +139,16 @@ pub enum Msg {
     ReadPage {
         /// The page.
         page: DbPage,
+    },
+    /// [`Msg::FetchPage`] and [`Msg::ReadPage`] for several pages in one
+    /// conversation. Locks are taken in request order and the first denial
+    /// ends the request; reply: [`Msg::PagesData`] with the pages up to
+    /// there, or what the first page's single form would have answered
+    /// when not even that one can be served.
+    FetchPages {
+        /// Each page with the lock mode to acquire first (`None`: the
+        /// sender holds the lock already).
+        pages: Vec<(DbPage, Option<LockMode>)>,
     },
     /// Acquire a lock (owner = requesting node); reply: [`Msg::Granted`] or
     /// [`Msg::Denied`].
@@ -161,7 +207,7 @@ pub enum Msg {
     },
     /// Single-server commit: log + apply the updates; reply: [`Msg::Ok`].
     Commit {
-        /// Server-assigned transaction id (from [`Msg::BeginTxn`]).
+        /// The sender's transaction id.
         txn: u64,
         /// The page updates.
         updates: Vec<PageUpdate>,
@@ -251,6 +297,9 @@ pub enum Msg {
     TxnId(u64),
     /// Page content.
     PageData(Vec<u8>),
+    /// The content of the first `n >= 1` pages of a [`Msg::FetchPages`],
+    /// in request order; exactly these were locked for the sender.
+    PagesData(Vec<Vec<u8>>),
     /// Lock granted.
     Granted,
     /// Lock denied (timeout — possible deadlock).
@@ -777,6 +826,27 @@ impl Msg {
                 put_u64(&mut b, *lease);
                 put_bytes(&mut b, &msg.encode());
             }
+            Msg::FetchPages { pages } => {
+                b.push(42);
+                // LINT: allow(cast) — a fetch names a handful of pages.
+                put_u32(&mut b, pages.len() as u32);
+                for (page, mode) in pages {
+                    put_u32(&mut b, page.area);
+                    put_u64(&mut b, page.page);
+                    b.push(u8::from(mode.is_some()));
+                    if let Some(mode) = mode {
+                        put_mode(&mut b, *mode);
+                    }
+                }
+            }
+            Msg::PagesData(pages) => {
+                b.push(43);
+                // LINT: allow(cast) — one entry per fetched page.
+                put_u32(&mut b, pages.len() as u32);
+                for data in pages {
+                    put_bytes(&mut b, data);
+                }
+            }
         }
         b
     }
@@ -930,6 +1000,24 @@ impl Msg {
                     lease,
                     msg: Box::new(Msg::decode_at(&inner, depth + 1)?),
                 }
+            }
+            42 => {
+                let n = c.u32()? as usize;
+                let mut pages = Vec::with_capacity(n.min(1024));
+                for _ in 0..n {
+                    let page = c.page()?;
+                    let mode = if c.bool()? { Some(c.mode()?) } else { None };
+                    pages.push((page, mode));
+                }
+                Msg::FetchPages { pages }
+            }
+            43 => {
+                let n = c.u32()? as usize;
+                let mut pages = Vec::with_capacity(n.min(1024));
+                for _ in 0..n {
+                    pages.push(c.bytes()?);
+                }
+                Msg::PagesData(pages)
             }
             t => return Err(format!("bad message tag {t}")),
         };

@@ -28,7 +28,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bess_obs::{Counter, Group, LatencyHistogram, Registry};
-use bess_cache::AreaSet;
+use bess_cache::{AreaSet, DbPage};
 use bess_lock::{LockManager, LockMode, LockName, OrderedMutex, Rank, TxnId};
 use bess_net::{Caller, Endpoint, Envelope, Network, NodeId};
 use bess_storage::{AreaId, DiskPtr};
@@ -36,7 +36,10 @@ use bess_wal::{GroupCommitConfig, LogBody, LogManager, Lsn, RecoveryReport};
 use parking_lot::{Condvar, Mutex};
 
 use crate::directory::Directory;
-use crate::proto::{coordinator_of, GTxn, Msg, PageUpdate, PrepareItem, Vote, LEASE_LOST};
+use crate::proto::{
+    coordinator_of, granted_prefix, single_page_reply, GTxn, Msg, PageUpdate, PrepareItem, Vote,
+    DRAINING, LEASE_LOST,
+};
 use crate::pipeline::{Accounting, CommitError, CommitPipeline, Resolution};
 use crate::scrub::{IntegrityStats, MediaGate, ScrubConfig, ScrubPassReport, Scrubber};
 
@@ -94,15 +97,15 @@ impl ServerConfig {
 /// `server.` prefix of [`BessServer::metrics`].
 #[derive(Debug)]
 pub struct ServerStats {
-    /// Transactions begun (`server.txns`).
+    /// Transactions announced by their first frame here (`server.txns`).
     pub txns: Counter,
     /// Local commits (`server.commits`).
     pub commits: Counter,
     /// Aborts processed (`server.aborts`).
     pub aborts: Counter,
-    /// Page fetches served (`server.fetches`).
+    /// Pages locked and shipped in one request (`server.fetches`).
     pub fetches: Counter,
-    /// Lock-free page reads served (`server.reads`).
+    /// Pages shipped under a lock the requester held (`server.reads`).
     pub reads: Counter,
     /// Lock requests granted (`server.locks_granted`).
     pub locks_granted: Counter,
@@ -834,7 +837,10 @@ impl ServerInner {
             self.stats.lease_lost_rejections.inc();
             return (Msg::Err(LEASE_LOST.into()), Vec::new());
         }
-        let t_replies = self.run_trailers(from, trailers);
+        let t_replies = match self.run_trailers(from, trailers) {
+            Ok(replies) => replies,
+            Err(refusal) => return (refusal, Vec::new()),
+        };
         let reply = match self.check_degraded(&msg) {
             Some(reject) => reject,
             None => self.dispatch(from, msg),
@@ -847,11 +853,14 @@ impl ServerInner {
     /// case); everything else a trailer produces — `Ok`s from lease
     /// renewals and lock releases, degraded-mode rejections — is dropped,
     /// and the sender falls back to an explicit call when it needed the
-    /// answer.
-    fn run_trailers(&self, from: NodeId, trailers: Vec<Msg>) -> Vec<Msg> {
+    /// answer. But for one: a `BeginTxn` the drain gate rejects is the
+    /// answer to the whole frame (`Err`), whose carrier — the new
+    /// transaction's first request — must not run.
+    fn run_trailers(&self, from: NodeId, trailers: Vec<Msg>) -> Result<Vec<Msg>, Msg> {
         let mut replies = Vec::new();
         for t in trailers {
             let r = match self.check_degraded(&t) {
+                Some(reject) if matches!(t, Msg::BeginTxn) => return Err(reject),
                 Some(reject) => reject,
                 None => self.dispatch(from, t),
             };
@@ -859,7 +868,7 @@ impl ServerInner {
                 replies.push(r);
             }
         }
-        replies
+        Ok(replies)
     }
 
     /// Rejects requests the server's degraded modes forbid: new
@@ -869,7 +878,7 @@ impl ServerInner {
             && matches!(msg, Msg::BeginTxn | Msg::BeginGlobal)
         {
             self.stats.drain_rejections.inc();
-            return Some(Msg::Err("server draining: not accepting new transactions".into()));
+            return Some(Msg::Err(DRAINING.into()));
         }
         if self.media().is_read_only() {
             match msg {
@@ -1060,8 +1069,7 @@ impl ServerInner {
         match msg {
             Msg::BeginTxn => {
                 self.stats.txns.inc();
-                let seq = self.next_txn.fetch_add(1, Ordering::Relaxed);
-                Msg::TxnId((u64::from(self.cfg.node.0) << 32) | seq)
+                Msg::Ok
             }
             Msg::Heartbeat => Msg::Ok,
             Msg::BeginGlobal => {
@@ -1069,20 +1077,13 @@ impl ServerInner {
                 Msg::TxnId((u64::from(self.cfg.node.0) << 32) | seq)
             }
             Msg::FetchPage { page, mode } => {
-                self.stats.fetches.inc();
-                let name = LockName::Page {
-                    area: page.area,
-                    page: page.page,
-                };
-                match self.do_lock(from, name, mode) {
-                    Msg::Granted => self.do_read(page),
-                    other => other,
-                }
+                single_page_reply(self.fetch_pages(from, &[(page, Some(mode))]))
             }
-            Msg::ReadPage { page } => {
-                self.stats.reads.inc();
-                self.do_read(page)
-            }
+            Msg::ReadPage { page } => single_page_reply(self.fetch_pages(from, &[(page, None)])),
+            Msg::FetchPages { pages } => match self.fetch_pages(from, &pages) {
+                Ok(data) => Msg::PagesData(data),
+                Err(refusal) => refusal,
+            },
             Msg::Lock { name, mode } => self.do_lock(from, name, mode),
             Msg::ReleaseCached { names } => {
                 let owner = TxnId(u64::from(from.0));
@@ -1199,17 +1200,62 @@ impl ServerInner {
         }
     }
 
-    fn do_read(&self, page: bess_cache::DbPage) -> Msg {
-        match self.areas.get(page.area) {
-            Some(a) => {
-                let mut buf = vec![0u8; a.page_size()];
-                match self.pipeline.verified(&a, page.page, || a.read_page(page.page, &mut buf)) {
-                    Ok(()) => Msg::PageData(buf),
-                    Err(e) => Msg::Err(e.to_string()),
+    /// Locks (where a mode is given) and reads `pages` for client node
+    /// `from`. Locks are taken in request order and the first denial ends
+    /// the request; the pages locked by then are read — pages of one area
+    /// that follow each other in one batched submission — and returned up
+    /// to the first that cannot be read. `Err`: the answer when not even
+    /// the first page can be served.
+    fn fetch_pages(&self, from: NodeId, pages: &[(DbPage, Option<LockMode>)]) -> Result<Vec<Vec<u8>>, Msg> {
+        let mut granted = 0;
+        for &(page, mode) in pages {
+            match mode {
+                Some(mode) => {
+                    let name = LockName::Page {
+                        area: page.area,
+                        page: page.page,
+                    };
+                    match self.do_lock(from, name, mode) {
+                        Msg::Granted => {}
+                        denied if granted == 0 => return Err(denied),
+                        _ => break,
+                    }
+                    self.stats.fetches.inc();
+                }
+                None => {
+                    self.stats.reads.inc();
                 }
             }
-            None => Msg::Err(format!("no area {}", page.area)),
+            granted += 1;
         }
+        let runs = pages[..granted].chunk_by(|(a, _), (b, _)| a.area == b.area);
+        granted_prefix(runs.flat_map(|run| self.read_run(run))).map_err(Msg::Err)
+    }
+
+    /// Reads the pages of `run`, all of one area, in one batched
+    /// submission. A page whose read fails verification goes through the
+    /// repair ladder alone: rebuilt from the log, then read once more.
+    fn read_run(&self, run: &[(DbPage, Option<LockMode>)]) -> Vec<Result<Vec<u8>, String>> {
+        let area = run.first().map_or(0, |(p, _)| p.area);
+        let Some(a) = self.areas.get(area) else {
+            return run.iter().map(|_| Err(format!("no area {area}"))).collect();
+        };
+        let numbers: Vec<u64> = run.iter().map(|(p, _)| p.page).collect();
+        numbers
+            .iter()
+            .zip(a.read_pages_batch(&numbers))
+            .map(|(&page, batched)| {
+                let mut batched = Some(batched);
+                let read = || match batched.take() {
+                    Some(first) => first,
+                    None => {
+                        let mut buf = vec![0u8; a.page_size()];
+                        a.read_page(page, &mut buf).map(|()| buf)
+                    }
+                };
+                self.pipeline.verified(&a, page, read).map_err(|e| e.to_string())
+            })
+            .collect()
     }
 
     /// Grants `mode` on `name` to client node `from`, running the callback

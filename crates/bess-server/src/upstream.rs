@@ -23,7 +23,7 @@ use parking_lot::Mutex;
 
 use crate::client::{ClientError, ClientResult};
 use crate::directory::Directory;
-use crate::proto::{GTxn, Msg, PageUpdate, LEASE_LOST};
+use crate::proto::{GTxn, Msg, PageUpdate, DRAINING, LEASE_LOST};
 
 /// Retries per RPC, and the base delay of their backoff, where the owner's
 /// configuration does not say.
@@ -35,11 +35,16 @@ pub(crate) type Purge = Box<dyn Fn(LockName) + Send + Sync>;
 
 /// Where the owner counts the upstream's traffic: handles from its own
 /// [`bess_obs`] group (the default: unregistered, for what it does not
-/// report). Lock requests are hits in the lock cache or RPCs.
+/// report). Lock requests are hits in the lock cache or RPCs; a message
+/// that brings pages is a fetch when it also asks for a lock and a read
+/// when it does not.
 #[derive(Default)]
 pub(crate) struct UpstreamCounters {
     pub lock_hits: Counter,
     pub lock_rpcs: Counter,
+    pub fetch_rpcs: Counter,
+    pub read_rpcs: Counter,
+    pub pages_fetched: Counter,
     pub callbacks: Counter,
     pub retries: Counter,
     pub heartbeats: Counter,
@@ -115,6 +120,16 @@ pub(crate) fn refusal(reply: Msg) -> ClientError {
     }
 }
 
+/// The reply that passes `e` on to a local application: [`refusal`] undoes
+/// it, so the application sees what this node saw.
+pub(crate) fn reply_for(e: ClientError) -> Msg {
+    match e {
+        ClientError::Denied(m) => Msg::Denied(m),
+        ClientError::Server(m) => Msg::Err(m),
+        other => Msg::Err(other.to_string()),
+    }
+}
+
 /// What an upstream keeps track of, behind one guard that is never held
 /// across a message.
 #[derive(Default)]
@@ -133,9 +148,13 @@ struct State {
     gtxn_pool: Vec<GTxn>,
     /// Servers a request went to (since the last [`Upstream::release_all`]).
     touched: HashSet<NodeId>,
-    /// Servers whose read-only 2PC vote already released this node's locks
-    /// ([`Shipment::TwoPhase`]'s readers); `release_all` skips them.
-    released_by_vote: HashSet<NodeId>,
+    /// Servers that already released this node's locks — by their
+    /// read-only 2PC vote ([`Shipment::TwoPhase`]'s readers) or, a gateway,
+    /// by executing the transaction's `Commit`; `release_all` skips them.
+    released: HashSet<NodeId>,
+    /// Transactions begun here that no server has heard of yet (see
+    /// [`Upstream::announce`]).
+    unannounced: HashSet<TxnId>,
     /// Servers owed a `ReleaseAll` (`release_all`), with the time the debt
     /// was incurred; paid as a trailer on the next message there, or
     /// flushed by [`Upstream::tick`] once it has waited a heartbeat
@@ -291,39 +310,50 @@ impl Upstream {
     /// first delivery executed leaks a segment, and a retried free can free
     /// a segment another client was handed in the meantime.
     ///
-    /// `in_txn`: the caller has a transaction open (see the refusal below).
-    pub(crate) fn rpc(&self, to: NodeId, msg: Msg, in_txn: bool) -> ClientResult<Msg> {
-        self.rpc_with_trailers(to, msg, Vec::new(), in_txn)
+    /// `txn`: the transaction the request is for, if the caller has one
+    /// open (see the refusal and the announcement below).
+    pub(crate) fn rpc(&self, to: NodeId, msg: Msg, txn: Option<TxnId>) -> ClientResult<Msg> {
+        self.rpc_with_trailers(to, msg, Vec::new(), txn)
     }
 
     /// [`Self::rpc`] with caller-supplied trailers riding the same frame
-    /// (any `ReleaseAll` debt for `to` joins them).
+    /// (any `ReleaseAll` debt for `to` joins them, and the `BeginTxn` of a
+    /// transaction this is the first frame of).
     fn rpc_with_trailers(
         &self,
         to: NodeId,
         msg: Msg,
         mut trailers: Vec<Msg>,
-        in_txn: bool,
+        txn: Option<TxnId>,
     ) -> ClientResult<Msg> {
         let retryable = !matches!(msg, Msg::AllocSegment { .. } | Msg::FreeSegment { .. });
-        let owes_release = {
+        let announces = self.announce_target().ok() == Some(to);
+        let (owes_release, announced) = {
             let mut state = self.state.lock();
             state.touched.insert(to);
             // Feeds heartbeat suppression.
             state.last_sent.insert(to, Instant::now());
-            state.release_debts.remove(&to).is_some()
+            (
+                state.release_debts.remove(&to).is_some(),
+                txn.filter(|t| announces && state.unannounced.remove(t)),
+            )
         };
         // Piggyback any control debt for this server on the frame. A
         // retried frame re-runs non-deduplicated trailers server-side;
-        // everything we attach here (`ReleaseAll`) is idempotent, and
-        // deduplicated carriers never re-run their trailers at all.
+        // what we attach here is idempotent (`ReleaseAll`) or only counted
+        // (`BeginTxn`), and deduplicated carriers never re-run their
+        // trailers at all. The release is the previous transaction's, so
+        // it goes first.
         if owes_release {
             trailers.push(Msg::ReleaseAll);
+        }
+        if announced.is_some() {
+            trailers.push(Msg::BeginTxn);
         }
         let msg = Msg::with_trailers(msg, trailers);
         let mut attempt = 0u32;
         let mut asked_again = false;
-        loop {
+        let outcome = loop {
             match self.caller.call(to, self.stamp(to, msg.clone()), self.cfg.rpc_timeout) {
                 Ok(reply) => {
                     let reply = self.absorb_reply(to, reply);
@@ -333,11 +363,11 @@ impl Upstream {
                     // one; inside one, the refusal is the answer and the
                     // transaction will not commit.
                     let refused = matches!(&reply, Msg::Err(e) if e == LEASE_LOST);
-                    if refused && !asked_again && !in_txn {
+                    if refused && !asked_again && txn.is_none() {
                         asked_again = true;
                         continue;
                     }
-                    return Ok(reply);
+                    break Ok(reply);
                 }
                 Err(e) if retryable && e.is_transient() && attempt < self.cfg.max_retries => {
                     attempt += 1;
@@ -348,9 +378,37 @@ impl Upstream {
                         self.cfg.node.0,
                     ));
                 }
-                Err(e) => return Err(e.into()),
+                Err(e) => break Err(e.into()),
             }
+        };
+        // A transaction stays unannounced until a server has admitted it:
+        // its next frame announces it again when this one got no answer,
+        // and when a draining server refused it — so that it is refused
+        // for as long as the server drains.
+        let turned_away = match &outcome {
+            Ok(Msg::Err(e)) => e == DRAINING,
+            Ok(_) => false,
+            Err(_) => true,
+        };
+        if let (Some(txn), true) = (announced, turned_away) {
+            self.state.lock().unannounced.insert(txn);
         }
+        outcome
+    }
+
+    /// Records that `txn` began at this node. No message is sent: the
+    /// transaction's first frame to [`Self::announce_target`] carries a
+    /// [`Msg::BeginTxn`] trailer, which is what the server counts and what
+    /// its drain mode refuses. A transaction that ends without having sent
+    /// one ([`Self::release_finished`], [`Self::release_all`]) is never
+    /// heard of.
+    pub(crate) fn announce(&self, txn: TxnId) {
+        self.state.lock().unannounced.insert(txn);
+    }
+
+    /// Where transactions are announced: the gateway, or the home server.
+    fn announce_target(&self) -> ClientResult<NodeId> {
+        self.cfg.gateway.map_or_else(|| self.home(), Ok)
     }
 
     /// Absorbs what rides on a reply from `from` besides the answer — a
@@ -402,84 +460,152 @@ impl Upstream {
         self.lease_epoch.load(Ordering::SeqCst)
     }
 
+    /// Probes the lock cache for `mode` on `name` on behalf of `txn` and
+    /// counts the outcome; a miss is this node's to resolve with the owner
+    /// ([`Self::request_lock`], or a [`Self::fetch_pages`] entry).
+    pub(crate) fn probe(&self, txn: TxnId, name: LockName, mode: LockMode) -> CacheDecision {
+        let decision = self.lock_cache.acquire(txn, name, mode);
+        match decision {
+            CacheDecision::Hit => self.counters.lock_hits.inc(),
+            CacheDecision::Miss { .. } => self.counters.lock_rpcs.inc(),
+        };
+        decision
+    }
+
     /// Acquires `mode` on `name` for `txn`, consulting the lock cache first
     /// (§3: "data and locks accessed by a transaction remain cached on the
     /// client").
     pub(crate) fn lock(&self, txn: TxnId, name: LockName, mode: LockMode) -> ClientResult<()> {
-        match self.lock_cache.acquire(txn, name, mode) {
-            CacheDecision::Hit => {
-                self.counters.lock_hits.inc();
-                Ok(())
-            }
-            CacheDecision::Miss { need } => {
-                self.counters.lock_rpcs.inc();
-                let owner = self.owner_of_name(&name)?;
-                let request = Msg::Lock { name, mode: need };
-                let granted = |reply: &Msg| *reply == Msg::Granted;
-                self.request_grant(txn, name, need, owner, request, granted).map(drop)
-            }
+        match self.probe(txn, name, mode) {
+            CacheDecision::Hit => Ok(()),
+            CacheDecision::Miss { need } => self.request_lock(txn, name, need),
         }
     }
 
-    /// The lock-cache miss of a page fetch: asks the owner for `need` on
-    /// `page`'s lock and the page with it, in one message.
-    pub(crate) fn fetch_page(&self, txn: TxnId, page: DbPage, need: LockMode) -> ClientResult<Vec<u8>> {
-        let owner = self.owner_of(page.area)?;
-        let request = Msg::FetchPage { page, mode: need };
-        let granted = |reply: &Msg| matches!(reply, Msg::PageData(_));
-        match self.request_grant(txn, page_lock(page), need, owner, request, granted)? {
-            Msg::PageData(data) => Ok(data),
-            other => Err(refusal(other)),
-        }
+    /// The lock-cache miss: asks `name`'s owner for `need`.
+    pub(crate) fn request_lock(&self, txn: TxnId, name: LockName, need: LockMode) -> ClientResult<()> {
+        let owner = self.owner_of_name(&name)?;
+        self.in_flight(&[name], || {
+            match self.rpc(owner, Msg::Lock { name, mode: need }, Some(txn))? {
+                Msg::Granted => {
+                    self.lock_cache.grant(txn, name, need);
+                    Ok(())
+                }
+                other => Err(refusal(other)),
+            }
+        })
     }
 
-    /// Sends `request` for `need` on `name` and, if the answer is the one
-    /// that `granted` it, records the grant — with the name in flight from
-    /// before the request leaves until the grant is in the cache.
-    fn request_grant(
-        &self,
-        txn: TxnId,
-        name: LockName,
-        need: LockMode,
-        owner: NodeId,
-        request: Msg,
-        granted: impl Fn(&Msg) -> bool,
-    ) -> ClientResult<Msg> {
-        *self.state.lock().in_flight.entry(name).or_insert(0) += 1;
-        let out = match self.rpc(owner, request, true) {
-            Ok(reply) if granted(&reply) => {
-                self.lock_cache.grant(txn, name, need);
-                Ok(reply)
-            }
-            Ok(other) => Err(refusal(other)),
-            Err(e) => Err(e),
-        };
-        // If a callback raced the request, mark the (now cached) lock for
-        // release when its users finish.
-        let mut guard = self.state.lock();
-        let state = &mut *guard;
-        let raced = state.raced.contains(&name);
-        if let Entry::Occupied(mut requests) = state.in_flight.entry(name) {
-            *requests.get_mut() -= 1;
-            if *requests.get() == 0 {
-                requests.remove();
-                state.raced.remove(&name);
+    /// Runs `request` — one message to an owner and the recording of what
+    /// it granted — with `names` in flight from before the message leaves
+    /// until the grants are in the cache, so that a callback racing it is
+    /// deferred ([`Self::defer_if_in_flight`]) and honoured when the users
+    /// of the lock finish.
+    fn in_flight<T>(&self, names: &[LockName], request: impl FnOnce() -> T) -> T {
+        {
+            let mut state = self.state.lock();
+            for name in names {
+                *state.in_flight.entry(*name).or_insert(0) += 1;
             }
         }
-        drop(guard);
-        if raced {
+        let out = request();
+        let mut raced = Vec::new();
+        {
+            let mut guard = self.state.lock();
+            let state = &mut *guard;
+            for name in names {
+                if state.raced.contains(name) {
+                    raced.push(*name);
+                }
+                if let Entry::Occupied(mut requests) = state.in_flight.entry(*name) {
+                    *requests.get_mut() -= 1;
+                    if *requests.get() == 0 {
+                        requests.remove();
+                        state.raced.remove(name);
+                    }
+                }
+            }
+        }
+        for name in raced {
             self.lock_cache.mark_callback_pending(name);
         }
         out
     }
 
-    /// Reads `page` from its owner; the lock is already held or cached.
-    pub(crate) fn read_page(&self, page: DbPage, in_txn: bool) -> ClientResult<Vec<u8>> {
-        let owner = self.owner_of(page.area)?;
-        match self.rpc(owner, Msg::ReadPage { page }, in_txn)? {
-            Msg::PageData(data) => Ok(data),
-            other => Err(refusal(other)),
+    /// Fetches `pages` from their owners for `txn`: each with the lock mode
+    /// its cache miss needs (`None`: the lock is held or cached — and must
+    /// be for every page when there is no transaction). Pages of one owner
+    /// that follow each other travel in one message, [`Msg::FetchPages`], a
+    /// single page in its [`Msg::FetchPage`] or [`Msg::ReadPage`]. Returns
+    /// the content of the pages up to the first the owner would not lock —
+    /// at least one, or that refusal — and records the grants of exactly
+    /// those.
+    pub(crate) fn fetch_pages(
+        &self,
+        txn: Option<TxnId>,
+        pages: &[(DbPage, Option<LockMode>)],
+    ) -> ClientResult<Vec<Vec<u8>>> {
+        let mut out = Vec::with_capacity(pages.len());
+        let owner = |&(page, _): &(DbPage, _)| self.owner_of(page.area).ok();
+        for run in pages.chunk_by(|a, b| owner(a) == owner(b)) {
+            match self.owner_of(run[0].0.area).and_then(|owner| self.fetch_run(txn, owner, run)) {
+                Ok(data) => {
+                    let short = data.len() < run.len();
+                    out.extend(data);
+                    if short {
+                        break;
+                    }
+                }
+                Err(e) if out.is_empty() => return Err(e),
+                Err(_) => break,
+            }
         }
+        Ok(out)
+    }
+
+    /// [`Self::fetch_pages`] for one page.
+    pub(crate) fn fetch_page(
+        &self,
+        txn: Option<TxnId>,
+        page: DbPage,
+        need: Option<LockMode>,
+    ) -> ClientResult<Vec<u8>> {
+        let mut data = self.fetch_pages(txn, &[(page, need)])?;
+        data.pop().ok_or_else(|| ClientError::Server(format!("no content for {page}")))
+    }
+
+    /// One message of [`Self::fetch_pages`].
+    fn fetch_run(
+        &self,
+        txn: Option<TxnId>,
+        owner: NodeId,
+        run: &[(DbPage, Option<LockMode>)],
+    ) -> ClientResult<Vec<Vec<u8>>> {
+        let request = match *run {
+            [(page, Some(mode))] => Msg::FetchPage { page, mode },
+            [(page, None)] => Msg::ReadPage { page },
+            _ => Msg::FetchPages { pages: run.to_vec() },
+        };
+        if run.iter().any(|(_, mode)| mode.is_some()) {
+            self.counters.fetch_rpcs.inc();
+        } else {
+            self.counters.read_rpcs.inc();
+        }
+        let names: Vec<LockName> = run.iter().map(|&(page, _)| page_lock(page)).collect();
+        self.in_flight(&names, || {
+            let data = match self.rpc(owner, request, txn)? {
+                Msg::PageData(data) if run.len() == 1 => vec![data],
+                Msg::PagesData(data) if (1..=run.len()).contains(&data.len()) => data,
+                other => return Err(refusal(other)),
+            };
+            for &(page, mode) in &run[..data.len()] {
+                if let (Some(need), Some(txn)) = (mode, txn) {
+                    self.lock_cache.grant(txn, page_lock(page), need);
+                }
+            }
+            self.counters.pages_fetched.add(data.len() as u64);
+            Ok(data)
+        })
     }
 
     /// Decides how `updates` reach their owners: grouped by owning server;
@@ -523,7 +649,8 @@ impl Upstream {
     }
 
     /// Ships `txn`'s routed updates and returns the outcome: the owner's
-    /// answer to the `Commit`, or the coordinator's decision.
+    /// answer to the `Commit`, or the coordinator's decision. `holder` is
+    /// the name the transaction's locks are held under here.
     ///
     /// Distributed commit: one `CommitGlobal` frame to the home server
     /// carries every branch's write set (the coordinator stages its own and
@@ -531,13 +658,20 @@ impl Upstream {
     /// `BeginGlobal` trailer that prefetches the next transaction's id.
     /// Every reader joins the round so its read-only vote releases this
     /// node's locks at phase 1.
-    pub(crate) fn ship(&self, txn: u64, shipment: Shipment) -> ClientResult<()> {
+    pub(crate) fn ship(&self, holder: TxnId, txn: u64, shipment: Shipment) -> ClientResult<()> {
         let (branches, readers, release_read_locks) = match shipment {
             Shipment::Nothing => return Ok(()),
             Shipment::OneOwner(owner, updates) => {
                 let req = self.fresh_req();
-                return match self.rpc(owner, Msg::Commit { txn, updates, req }, true)? {
-                    Msg::Ok => Ok(()),
+                return match self.rpc(owner, Msg::Commit { txn, updates, req }, Some(holder))? {
+                    Msg::Ok => {
+                        // A gateway ends the local transaction with the
+                        // commit it executes; no `ReleaseAll` is owed.
+                        if self.cfg.gateway == Some(owner) {
+                            self.state.lock().released.insert(owner);
+                        }
+                        Ok(())
+                    }
                     other => Err(refusal(other)),
                 };
             }
@@ -557,7 +691,7 @@ impl Upstream {
         };
         let gtxn = match gtxn {
             Some(g) => g,
-            None => match self.rpc(home, Msg::BeginGlobal, true)? {
+            None => match self.rpc(home, Msg::BeginGlobal, Some(holder))? {
                 Msg::TxnId(g) => g,
                 other => return Err(refusal(other)),
             },
@@ -574,12 +708,12 @@ impl Upstream {
             branches,
         };
         let trailers = if refill { vec![Msg::BeginGlobal] } else { Vec::new() };
-        match self.rpc_with_trailers(home, commit, trailers, true)? {
+        match self.rpc_with_trailers(home, commit, trailers, Some(holder))? {
             Msg::Decision { committed } => {
                 // Phase 1 ran, whatever the outcome: the readers released
                 // this node's locks when they voted. Write participants
                 // keep its grants until the transaction ends.
-                self.state.lock().released_by_vote.extend(readers.into_iter().map(NodeId));
+                self.state.lock().released.extend(readers.into_iter().map(NodeId));
                 committed.then_some(()).ok_or(ClientError::GlobalAbort)
             }
             other => Err(refusal(other)),
@@ -589,12 +723,13 @@ impl Upstream {
     /// Ends `txn`'s use of the cached locks. They stay cached, but for the
     /// ones a deferred callback waits for: purged and handed back now.
     pub(crate) fn release_finished(&self, txn: TxnId) {
+        self.state.lock().unannounced.remove(&txn);
         let released = self.lock_cache.finish_txn(txn);
         for name in &released {
             (self.purge)(*name);
         }
         for (owner, names) in self.by_owner(released) {
-            let _ = self.rpc(owner, Msg::ReleaseCached { names }, false);
+            let _ = self.rpc(owner, Msg::ReleaseCached { names }, None);
         }
     }
 
@@ -608,17 +743,18 @@ impl Upstream {
         by_owner
     }
 
-    /// Transaction-duration caching (§3): drops every cached lock and has
-    /// each server touched since the last call, but for those a read-only
-    /// vote already made, release this node's locks — told at once, or
-    /// with `defer` by a trailer on the next frame there ([`Self::tick`]
-    /// is the fallback carrier).
+    /// Transaction-duration caching (§3), for a node with one transaction
+    /// at a time: drops every cached lock and has each server touched since
+    /// the last call, but for those that released already, release this
+    /// node's locks — told at once, or with `defer` by a trailer on the
+    /// next frame there ([`Self::tick`] is the fallback carrier).
     pub(crate) fn release_all(&self, defer: bool) {
         self.lock_cache.clear();
         let (touched, already) = {
             let mut state = self.state.lock();
+            state.unannounced.clear();
             let touched: Vec<NodeId> = state.touched.drain().collect();
-            (touched, std::mem::take(&mut state.released_by_vote))
+            (touched, std::mem::take(&mut state.released))
         };
         for server in touched.into_iter().filter(|s| !already.contains(s)) {
             if defer {

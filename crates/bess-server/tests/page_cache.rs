@@ -1,6 +1,8 @@
 //! Coherence of the page images a caching [`ClientConn`] keeps on its
 //! cached page locks, and the callback that races a node's own in-flight
-//! lock request — the node being a [`ClientConn`] or a [`NodeServer`].
+//! lock request — the node being a [`ClientConn`] or a [`NodeServer`] — and
+//! what a cold page costs on the wire: one message per hop, or one for
+//! several pages.
 //!
 //! No test here sleeps or depends on thread timing: the races are forced by
 //! a server endpoint the test drives by hand, and the only waits are the
@@ -9,12 +11,12 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use bess_cache::{AreaSet, DbPage};
+use bess_cache::{AreaSet, DbPage, PageIo};
 use bess_lock::{LockCache, LockMode, LockName, IMAGE_CAPACITY};
 use bess_net::{Endpoint, NetFaultKind, NetFaultPlan, Network, NodeId};
 use bess_server::{
-    register_areas, BessServer, ClientConfig, ClientConn, ClientOpts, Directory, Msg, NodeServer,
-    NodeServerConfig, PageUpdate, ServerConfig,
+    register_areas, BessServer, ClientConfig, ClientConn, Directory, Msg, NodeServer,
+    NodeServerConfig, PageUpdate, RemoteIo, ServerConfig, LEASE_LOST,
 };
 use bess_storage::{AreaConfig, AreaId, StorageArea};
 use bess_wal::LogManager;
@@ -246,10 +248,6 @@ fn a_commit_without_an_answer_drops_the_written_images() {
         cfg.max_retries = 0;
         // Waited out once, by the commit whose reply is dropped.
         cfg.rpc_timeout = Duration::from_secs(1);
-        cfg.opts = ClientOpts {
-            lazy_begin: true,
-            ..ClientOpts::default()
-        };
     });
     txn(&c, p, LockMode::X, vec![]);
     txn(&c, q, LockMode::S, vec![]);
@@ -304,12 +302,7 @@ fn image_count_stops_at_the_capacity_while_locks_keep_growing() {
     let w = world();
     let extra = 40;
     let pages = w.pages(IMAGE_CAPACITY as u32 + extra);
-    let c = w.client(1, |cfg| {
-        cfg.opts = ClientOpts {
-            lazy_begin: true,
-            ..ClientOpts::default()
-        }
-    });
+    let c = w.client(1, |_| {});
     c.begin().unwrap();
     for (i, &p) in pages.iter().enumerate() {
         c.fetch_page(p, LockMode::S).unwrap();
@@ -407,14 +400,6 @@ fn quiet(cfg: &mut ClientConfig) {
     cfg.heartbeat_interval = NO_HEARTBEATS;
 }
 
-fn lazy(cfg: &mut ClientConfig) {
-    quiet(cfg);
-    cfg.opts = ClientOpts {
-        lazy_begin: true,
-        ..ClientOpts::default()
-    };
-}
-
 /// A has an image of `p`; then `lose` makes the server forget A's lease
 /// (no callback reaches A) and B commits new bytes to `p`.
 fn image_outlives_its_lock(
@@ -439,12 +424,21 @@ fn expire(w: World, a: &ClientConn) -> World {
     w
 }
 
+/// A's next message, outside any transaction (`begin` sends none): a read
+/// of a page it has no image of.
+fn read_another_page(w: &World, a: &ClientConn) {
+    let q = w.pages(1)[0];
+    a.read_page(q).unwrap();
+}
+
 /// The next request A sends is refused unexecuted, A drops every lock and
 /// image, and — no transaction being open — asks again under its new lease.
 #[test]
 fn an_expired_lease_takes_every_image_with_it() {
     let (w, a, p) = image_outlives_its_lock(quiet, expire);
     assert_eq!(a.lock_cache().images(), 1, "nobody told A");
+    read_another_page(&w, &a);
+    assert_eq!(a.lock_cache().images(), 0);
     let data = txn(&a, p, LockMode::S, vec![]);
     assert_eq!(&data[0..5], b"newer");
     assert_eq!(a.stats().leases_lost.get(), 1);
@@ -463,6 +457,7 @@ fn an_expired_lease_takes_every_image_with_it() {
 #[test]
 fn a_restarted_server_takes_every_image_with_it() {
     let (w, a, p) = image_outlives_its_lock(quiet, |w, _| w.restart());
+    read_another_page(&w, &a);
     let data = txn(&a, p, LockMode::S, vec![]);
     assert_eq!(&data[0..5], b"newer");
     assert_eq!(a.stats().leases_lost.get(), 1);
@@ -475,7 +470,7 @@ fn a_restarted_server_takes_every_image_with_it() {
 /// commit, whatever the application does in between.
 #[test]
 fn a_transaction_open_when_the_lease_is_found_lost_cannot_commit() {
-    let (w, a, p) = image_outlives_its_lock(lazy, expire);
+    let (w, a, p) = image_outlives_its_lock(quiet, expire);
     let q = w.pages(1)[0];
     a.begin().unwrap();
     let stale = a.fetch_page(p, LockMode::S).unwrap();
@@ -497,7 +492,7 @@ fn a_transaction_open_when_the_lease_is_found_lost_cannot_commit() {
 /// not applied.
 #[test]
 fn a_commit_stamped_with_a_lost_lease_is_not_applied() {
-    let (w, a, p) = image_outlives_its_lock(lazy, expire);
+    let (w, a, p) = image_outlives_its_lock(quiet, expire);
     a.begin().unwrap();
     a.fetch_page(p, LockMode::S).unwrap();
     let commits = w.server.stats().commits.get();
@@ -514,7 +509,6 @@ fn a_commit_stamped_with_a_lost_lease_is_not_applied() {
 #[test]
 fn a_heartbeat_brings_the_news_to_an_idle_connection() {
     fn quick(cfg: &mut ClientConfig) {
-        lazy(cfg);
         cfg.heartbeat_interval = Duration::from_millis(1);
     }
     let (w, a, p) = image_outlives_its_lock(quick, expire);
@@ -591,6 +585,14 @@ const NODE_SERVER: NodeId = NodeId(50);
 /// heartbeats, and a counted message must not be one).
 const NO_HEARTBEATS: Duration = Duration::from_secs(3600);
 
+/// `request` without the `BeginTxn` trailer of a transaction's first frame.
+fn unannounced(request: &Msg) -> &Msg {
+    match request {
+        Msg::WithTrailers { msg, trailers } if trailers == &[Msg::BeginTxn] => msg,
+        other => other,
+    }
+}
+
 fn hand_server(through_a_node_server: bool) -> HandServer {
     let net: Arc<Network<Msg>> = Network::new(Duration::ZERO);
     let dir = Arc::new(Directory::new());
@@ -604,10 +606,6 @@ fn hand_server(through_a_node_server: bool) -> HandServer {
     let gateway_node = gateway.as_ref().map(NodeServer::node);
     let mut cfg = ClientConfig::new(NodeId(1), gateway_node.unwrap_or(SERVER));
     cfg.gateway = gateway_node;
-    cfg.opts = ClientOpts {
-        lazy_begin: true,
-        ..ClientOpts::default()
-    };
     cfg.heartbeat_interval = NO_HEARTBEATS;
     let client = ClientConn::connect(&net, dir, cfg);
     HandServer {
@@ -630,7 +628,8 @@ impl HandServer {
     /// Receives the holder's next request, which must satisfy `expect`. A
     /// caching client stamps every request with its lease (this server
     /// never tells it a lease id, so the stamp stays 0 and nothing is ever
-    /// refused); a node server never stamps.
+    /// refused); a node server never stamps. The announcement of a new
+    /// transaction that rides a transaction's first frame is taken off.
     fn next_request(&self, expect: impl FnOnce(&Msg) -> bool) -> bess_net::Envelope<Msg> {
         let env = self.endpoint.recv(WAIT).expect("the holder sent nothing");
         let request = match (&env.msg, &self.gateway) {
@@ -638,6 +637,7 @@ impl HandServer {
             (Msg::Leased { .. }, _) | (_, None) => panic!("wrong stamp: {:?}", env.msg),
             (unstamped, Some(_)) => unstamped,
         };
+        let request = unannounced(request);
         assert!(expect(request), "unexpected request {request:?}");
         env
     }
@@ -646,36 +646,36 @@ impl HandServer {
         Msg::PageData(vec![0; self.client.page_size()])
     }
 
-    /// Receives the holder's request for `mode` on `PAGE`'s lock and
-    /// returns it unanswered, with the answer that grants it: a client
-    /// asks for lock and page in one message, a node server for the lock.
-    fn lock_request(&self, mode: LockMode) -> (bess_net::Envelope<Msg>, Msg) {
-        if self.gateway.is_some() {
-            let asked = |m: &Msg| *m == Msg::Lock { name: lock_name(PAGE), mode };
-            (self.next_request(asked), Msg::Granted)
-        } else {
-            let asked = |m: &Msg| *m == Msg::FetchPage { page: PAGE, mode };
-            (self.next_request(asked), self.page_data())
-        }
-    }
-
-    /// Leaves the holder with an idle cached S on `PAGE`.
+    /// Leaves the holder with an idle cached S on `PAGE`, for one message:
+    /// a node server whose shared cache is cold asks for lock and page
+    /// together, as a client does.
     fn cache_an_idle_s(&self) {
         std::thread::scope(|s| {
             let app = s.spawn(|| txn(&self.client, PAGE, LockMode::S, vec![]));
-            let (request, grant) = self.lock_request(LockMode::S);
-            request.reply(grant);
-            if self.gateway.is_some() {
-                // The node server's shared cache is cold.
-                self.next_request(|m| *m == Msg::ReadPage { page: PAGE })
-                    .reply(self.page_data());
-            }
+            let asked = |m: &Msg| *m == Msg::FetchPage { page: PAGE, mode: LockMode::S };
+            self.next_request(asked).reply(self.page_data());
             app.join().unwrap();
         });
+        assert!(self.endpoint.try_recv().is_none(), "a cold page is one message");
         assert_eq!(
             self.holder().1.cached_mode(lock_name(PAGE)),
             Some(LockMode::S)
         );
+    }
+
+    /// Receives the holder's request for X on `PAGE`, whose S it caches,
+    /// and returns it unanswered with the answer that grants it: a client
+    /// asks for lock and page in one message, a node server — the page is
+    /// in its shared cache — for the lock alone.
+    fn upgrade_request(&self) -> (bess_net::Envelope<Msg>, Msg) {
+        if self.gateway.is_some() {
+            let name = lock_name(PAGE);
+            let asked = |m: &Msg| *m == Msg::Lock { name, mode: LockMode::X };
+            (self.next_request(asked), Msg::Granted)
+        } else {
+            let asked = |m: &Msg| *m == Msg::FetchPage { page: PAGE, mode: LockMode::X };
+            (self.next_request(asked), self.page_data())
+        }
     }
 
     /// The race itself: the holder's X upgrade is in flight (received, not
@@ -694,7 +694,7 @@ impl HandServer {
                 self.client.commit(vec![]).unwrap();
                 mode
             });
-            let (upgrade, grant) = self.lock_request(LockMode::X);
+            let (upgrade, grant) = self.upgrade_request();
             let answer = self.endpoint.call(holder, callback, WAIT).unwrap();
             assert_eq!(
                 answer,
@@ -711,6 +711,25 @@ impl HandServer {
         });
         assert_eq!(lock_cache.cached_mode(lock_name(PAGE)), None);
         assert_eq!(lock_cache.images(), 0);
+    }
+
+    /// Calls an idle cached lock back, so that leaving sends nothing.
+    fn call_back(&self, page: DbPage) {
+        let callback = Msg::Callback {
+            name: lock_name(page),
+        };
+        let answer = self.endpoint.call(self.holder().0, callback, WAIT).unwrap();
+        assert_eq!(answer, Msg::CallbackReleased);
+    }
+
+    /// What the client's pool gets for `pages`, asked for together inside
+    /// a transaction that then commits nothing.
+    fn load_together(&self, pages: &[DbPage]) -> Vec<Result<Vec<u8>, String>> {
+        self.client.begin().unwrap();
+        let io = RemoteIo(Arc::clone(&self.client));
+        let loaded = io.load_batch(pages, self.client.page_size());
+        self.client.commit(vec![]).unwrap();
+        loaded
     }
 
     fn hang_up(self) {
@@ -803,4 +822,178 @@ fn object_and_segment_callbacks_drop_the_pages_image() {
         );
     }
     hs.hang_up();
+}
+
+// ---- several pages in one conversation ------------------------------------
+
+const PAGE_2: DbPage = DbPage { area: 0, page: 8 };
+
+/// The one message that asks for S on both pages and the pages.
+fn fetch_both(m: &Msg) -> bool {
+    let both = [PAGE, PAGE_2].map(|page| (page, Some(LockMode::S)));
+    matches!(m, Msg::FetchPages { pages } if pages[..] == both)
+}
+
+fn image(byte: u8, c: &ClientConn) -> Vec<u8> {
+    vec![byte; c.page_size()]
+}
+
+/// The owner grants the first lock and denies the second: the first page
+/// is served and only its lock is cached.
+#[test]
+fn a_denial_on_the_second_page_grants_only_the_first() {
+    let hs = hand_server(false);
+    std::thread::scope(|s| {
+        let app = s.spawn(|| hs.load_together(&[PAGE, PAGE_2]));
+        hs.next_request(fetch_both)
+            .reply(Msg::PagesData(vec![image(7, &hs.client)]));
+        let loaded = app.join().unwrap();
+        assert_eq!(loaded[0], Ok(image(7, &hs.client)));
+        assert!(loaded[1].is_err(), "the page the request ended before");
+    });
+    let cache = hs.client.lock_cache();
+    assert_eq!(cache.cached_mode(lock_name(PAGE)), Some(LockMode::S));
+    assert_eq!(cache.cached_mode(lock_name(PAGE_2)), None);
+    let stats = hs.client.stats();
+    assert_eq!((stats.fetch_rpcs.get(), stats.pages_fetched.get()), (1, 1));
+    hs.call_back(PAGE);
+    hs.hang_up();
+}
+
+/// A callback that arrives between the request and its reply is deferred
+/// for every name the request asked for, and honoured when the transaction
+/// ends.
+#[test]
+fn a_callback_racing_a_fetch_of_several_pages_is_deferred_for_each() {
+    for through_a_node_server in [false, true] {
+        let hs = hand_server(through_a_node_server);
+        let (holder, lock_cache) = hs.holder();
+        let names = [lock_name(PAGE), lock_name(PAGE_2)];
+        std::thread::scope(|s| {
+            let app = s.spawn(|| hs.load_together(&[PAGE, PAGE_2]));
+            let request = hs.next_request(fetch_both);
+            for name in names {
+                let answer = hs.endpoint.call(holder, Msg::Callback { name }, WAIT).unwrap();
+                assert_eq!(answer, Msg::CallbackDeferred, "{name:?}");
+            }
+            request.reply(Msg::PagesData(vec![image(1, &hs.client), image(2, &hs.client)]));
+            let released = |m: &Msg| {
+                matches!(m, Msg::ReleaseCached { names: n }
+                    if n.len() == 2 && names.iter().all(|name| n.contains(name)))
+            };
+            hs.next_request(released).reply(Msg::Ok);
+            let loaded = app.join().unwrap();
+            assert_eq!(loaded, [Ok(image(1, &hs.client)), Ok(image(2, &hs.client))]);
+        });
+        assert_eq!(lock_cache.len(), 0);
+        hs.hang_up();
+    }
+}
+
+/// A request refused for its lease grants nothing, whatever it asked for.
+#[test]
+fn a_refused_fetch_of_several_pages_grants_nothing() {
+    let hs = hand_server(false);
+    std::thread::scope(|s| {
+        let app = s.spawn(|| {
+            hs.client.begin().unwrap();
+            let io = RemoteIo(Arc::clone(&hs.client));
+            let loaded = io.load_batch(&[PAGE, PAGE_2], hs.client.page_size());
+            // The transaction is over; the server hears of it.
+            hs.client.abort().unwrap();
+            loaded
+        });
+        hs.next_request(fetch_both).reply(Msg::Leased {
+            lease: 9,
+            msg: Box::new(Msg::Err(LEASE_LOST.into())),
+        });
+        let abort = hs.endpoint.recv(WAIT).expect("the abort");
+        abort.reply(Msg::Ok);
+        let loaded = app.join().unwrap();
+        assert!(loaded.iter().all(Result::is_err), "{loaded:?}");
+    });
+    assert_eq!(hs.client.lock_cache().len(), 0);
+    assert_eq!(hs.client.stats().pages_fetched.get(), 0);
+    hs.hang_up();
+}
+
+/// A node server sends its owners only what it lacks: nothing for a page
+/// whose lock and content it holds, the single form for one absent page,
+/// one `FetchPages` for several.
+#[test]
+fn a_node_server_forwards_only_the_absent_pages() {
+    const PAGE_3: DbPage = DbPage { area: 0, page: 9 };
+    let hs = hand_server(true);
+    hs.cache_an_idle_s();
+    std::thread::scope(|s| {
+        let app = s.spawn(|| hs.load_together(&[PAGE, PAGE_2]));
+        let asked = |m: &Msg| *m == Msg::FetchPage { page: PAGE_2, mode: LockMode::S };
+        hs.next_request(asked).reply(Msg::PageData(image(2, &hs.client)));
+        let loaded = app.join().unwrap();
+        assert_eq!(loaded, [Ok(image(0, &hs.client)), Ok(image(2, &hs.client))]);
+    });
+    hs.call_back(PAGE);
+    hs.call_back(PAGE_2);
+    std::thread::scope(|s| {
+        let app = s.spawn(|| hs.load_together(&[PAGE, PAGE_2, PAGE_3]));
+        let all = [PAGE, PAGE_2, PAGE_3].map(|page| (page, Some(LockMode::S)));
+        let asked = |m: &Msg| matches!(m, Msg::FetchPages { pages } if pages[..] == all);
+        let data = (4..7).map(|b| image(b, &hs.client)).collect();
+        hs.next_request(asked).reply(Msg::PagesData(data));
+        let loaded = app.join().unwrap();
+        assert_eq!(loaded[2], Ok(image(6, &hs.client)));
+    });
+    assert!(hs.endpoint.try_recv().is_none(), "one message each time");
+    let ns = hs.gateway.as_ref().unwrap().stats();
+    assert_eq!(
+        (ns.fetch_messages.get(), ns.remote_fetches.get(), ns.cache_hits.get()),
+        (3, 5, 1),
+        "(messages, pages, served from the shared cache)"
+    );
+    for page in [PAGE, PAGE_2, PAGE_3] {
+        hs.call_back(page);
+    }
+    hs.hang_up();
+}
+
+/// A gateway ends the local transaction with the `Commit` it acknowledges,
+/// so an updating transaction's last frame is that `Commit`; a read-only
+/// one, which ships nothing, still ends with its `ReleaseAll`. `begin`
+/// sends nothing: each transaction's first frame announces it.
+#[test]
+fn a_commit_through_a_gateway_is_the_transactions_last_frame() {
+    let net: Arc<Network<Msg>> = Network::new(Duration::ZERO);
+    let gateway = net.register(NODE_SERVER);
+    let mut cfg = ClientConfig::new(NodeId(1), NODE_SERVER);
+    cfg.gateway = Some(NODE_SERVER);
+    cfg.heartbeat_interval = NO_HEARTBEATS;
+    let client = ClientConn::connect(&net, Arc::new(Directory::new()), cfg);
+    let first_frame = |mode| Msg::WithTrailers {
+        msg: Box::new(Msg::FetchPage { page: PAGE, mode }),
+        trailers: vec![Msg::BeginTxn],
+    };
+    let next = || gateway.recv(WAIT).expect("the client sent nothing");
+    std::thread::scope(|s| {
+        let app = s.spawn(|| {
+            txn(&client, PAGE, LockMode::X, vec![update(PAGE, 0, &[0; 2], b"up")]);
+            txn(&client, PAGE, LockMode::S, vec![]);
+        });
+        let page_data = || Msg::PageData(image(0, &client));
+        let fetch = next();
+        assert_eq!(fetch.msg, first_frame(LockMode::X));
+        fetch.reply(page_data());
+        let commit = next();
+        assert!(matches!(commit.msg, Msg::Commit { .. }), "{:?}", commit.msg);
+        commit.reply(Msg::Ok);
+        // No `ReleaseAll` in between: the next frame is the next transaction.
+        let fetch = next();
+        assert_eq!(fetch.msg, first_frame(LockMode::S));
+        fetch.reply(page_data());
+        let release = next();
+        assert_eq!(release.msg, Msg::ReleaseAll);
+        release.reply(Msg::Ok);
+        app.join().unwrap();
+    });
+    client.disconnect();
+    assert!(gateway.try_recv().is_none());
 }

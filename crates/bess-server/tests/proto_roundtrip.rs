@@ -4,8 +4,9 @@
 //! ([`Msg::Heartbeat`], [`Msg::DecisionPending`] and the `req` request ids
 //! on [`Msg::Commit`] / [`Msg::CommitGlobal`], and the sublinear-commit
 //! additions [`Msg::PrepareBatch`], [`Msg::VoteBatch`],
-//! [`Msg::DecideBatch`] and [`Msg::WithTrailers`]) — must satisfy
-//! `decode(encode(m)) == Ok(m)`. The strategy below gives each of the 36
+//! [`Msg::DecideBatch`] and [`Msg::WithTrailers`], and the batched fetch
+//! [`Msg::FetchPages`] / [`Msg::PagesData`]) — must satisfy
+//! `decode(encode(m)) == Ok(m)`. The strategy below gives each of the 38
 //! variants equal weight so a few hundred cases exercise all of them many
 //! times over.
 
@@ -22,6 +23,11 @@ fn mode_strategy() -> impl Strategy<Value = LockMode> {
         Just(LockMode::SIX),
         Just(LockMode::X),
     ]
+}
+
+/// A lock mode to acquire, or `None`: the lock is held.
+fn held_or(mode: impl Strategy<Value = LockMode>) -> impl Strategy<Value = Option<LockMode>> {
+    (any::<bool>(), mode).prop_map(|(held, mode)| (!held).then_some(mode))
 }
 
 fn page_strategy() -> impl Strategy<Value = DbPage> {
@@ -84,6 +90,7 @@ fn leaf_msg_strategy() -> impl Strategy<Value = Msg> {
     prop_oneof![
         Just(Msg::Heartbeat),
         Just(Msg::ReleaseAll),
+        Just(Msg::BeginTxn),
         Just(Msg::BeginGlobal),
         any::<u64>().prop_map(Msg::TxnId),
         (any::<u64>(), any::<bool>())
@@ -97,6 +104,8 @@ fn msg_strategy() -> impl Strategy<Value = Msg> {
         Just(Msg::BeginTxn),
         (page_strategy(), mode_strategy()).prop_map(|(page, mode)| Msg::FetchPage { page, mode }),
         page_strategy().prop_map(|page| Msg::ReadPage { page }),
+        prop::collection::vec((page_strategy(), held_or(mode_strategy())), 0..5)
+            .prop_map(|pages| Msg::FetchPages { pages }),
         (name_strategy(), mode_strategy()).prop_map(|(name, mode)| Msg::Lock { name, mode }),
         prop::collection::vec(name_strategy(), 0..5)
             .prop_map(|names| Msg::ReleaseCached { names }),
@@ -141,6 +150,7 @@ fn msg_strategy() -> impl Strategy<Value = Msg> {
         string_strategy().prop_map(Msg::Err),
         any::<u64>().prop_map(Msg::TxnId),
         bytes_strategy().prop_map(Msg::PageData),
+        prop::collection::vec(bytes_strategy(), 0..4).prop_map(Msg::PagesData),
         Just(Msg::Granted),
         string_strategy().prop_map(Msg::Denied),
         (any::<u32>(), any::<u64>(), any::<u32>())
@@ -201,6 +211,28 @@ fn unknown_tag_is_rejected() {
     };
     assert_eq!(stamped.encode()[0], 41);
     assert_eq!(Msg::decode(&stamped.encode()), Ok(stamped));
+}
+
+/// A transaction's first frame as it travels: the request, the previous
+/// transaction's deferred release and the `BeginTxn` that announces the
+/// new one as trailers, under a caching client's lease stamp. The two
+/// newest tags are the batched fetch's.
+#[test]
+fn a_first_frame_with_its_announcement_round_trips() {
+    let pages = vec![
+        (DbPage { area: 0, page: 7 }, Some(LockMode::S)),
+        (DbPage { area: 0, page: 8 }, None),
+    ];
+    let request = Msg::FetchPages { pages };
+    assert_eq!(request.encode()[0], 42);
+    let frame = Msg::Leased {
+        lease: 3,
+        msg: Box::new(Msg::with_trailers(request, vec![Msg::ReleaseAll, Msg::BeginTxn])),
+    };
+    assert_eq!(Msg::decode(&frame.encode()), Ok(frame));
+    let reply = Msg::PagesData(vec![vec![1, 2, 3], vec![]]);
+    assert_eq!(reply.encode()[0], 43);
+    assert_eq!(Msg::decode(&reply.encode()), Ok(reply));
 }
 
 /// The wire format outlives the messages it once carried: the six retired

@@ -131,6 +131,7 @@ const CLIENT_GOLDEN: &[&str] = &[
     "client.lock_cache_hits",
     "client.fetch_rpcs",
     "client.read_rpcs",
+    "client.pages_fetched",
     "client.commits",
     "client.commit_failures",
     "client.aborts",
@@ -156,6 +157,7 @@ const NODESERVER_GOLDEN: &[&str] = &[
     // NodeServerStats (bess-server nodeserver)
     "nodeserver.cache_hits",
     "nodeserver.remote_fetches",
+    "nodeserver.fetch_messages",
     "nodeserver.lock_local",
     "nodeserver.lock_remote",
     "nodeserver.callbacks",

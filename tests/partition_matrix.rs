@@ -30,11 +30,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bess_cache::{AreaSet, DbPage};
-use bess_lock::LockMode;
+use bess_lock::{LockMode, LockName};
 use bess_net::{NetFaultKind, NetFaultPlan, Network, NodeId};
 use bess_server::{
     register_areas, BessServer, ClientConfig, ClientConn, ClientError, ClientOpts, ClientResult,
-    Directory, Msg, PageUpdate, RemoteSpace, ServerConfig, Vote,
+    Directory, Msg, NodeServer, NodeServerConfig, PageUpdate, RemoteSpace, ServerConfig, Vote,
+    DRAINING,
 };
 use bess_storage::{AreaConfig, AreaId, StorageArea};
 use bess_wal::{LogBody, LogManager, Lsn};
@@ -49,43 +50,43 @@ const SRV1: NodeId = NodeId(101);
 ///
 /// | idx | message                                    | txn |
 /// |-----|--------------------------------------------|-----|
-/// | 0   | BeginTxn → srv0                            | A   |
-/// | 1   | FetchPage p0 (X) → srv0                    | A   |
-/// | 2   | FetchPage p1 (X) → srv1                    | A   |
-/// | 3   | BeginGlobal → srv0         (pool is empty) | A   |
-/// | 4   | CommitGlobal → srv0 [+branches, +prefetch] | A   |
-/// | 5,6 | ReleaseAll → srv0, srv1                    | A   |
-/// | 7   | BeginTxn → srv0                            | B   |
-/// | 8   | FetchPage p0 (X) → srv0                    | B   |
-/// | 9   | Commit → srv0                              | B   |
-/// | 10  | ReleaseAll → srv0                          | B   |
+/// | 0   | FetchPage p0 (X) → srv0        [+BeginTxn] | A   |
+/// | 1   | FetchPage p1 (X) → srv1                    | A   |
+/// | 2   | BeginGlobal → srv0         (pool is empty) | A   |
+/// | 3   | CommitGlobal → srv0 [+branches, +prefetch] | A   |
+/// | 4,5 | ReleaseAll → srv0, srv1                    | A   |
+/// | 6   | FetchPage p0 (X) → srv0        [+BeginTxn] | B   |
+/// | 7   | Commit → srv0                              | B   |
+/// | 8   | ReleaseAll → srv0                          | B   |
 ///
-/// Both write branches of txn A ride the `CommitGlobal` frame (srv0
-/// forwards srv1's inside its phase-1 `PrepareBatch` entry), and the
-/// `BeginGlobal` trailer on that frame prefetches the next global id.
+/// `begin` sends nothing: the `BeginTxn` trailer on a transaction's first
+/// frame to its home server announces it. Both write branches of txn A
+/// ride the `CommitGlobal` frame (srv0 forwards srv1's inside its phase-1
+/// `PrepareBatch` entry), and the `BeginGlobal` trailer on that frame
+/// prefetches the next global id.
 ///
 /// The control run asserts this count so a protocol change updates the
 /// targeted indices below instead of silently skewing the sweep.
-const WORKLOAD_MSGS: u64 = 11;
-const IDX_COMMIT_GLOBAL: u64 = 4;
-const IDX_COMMIT: u64 = 9;
+const WORKLOAD_MSGS: u64 = 9;
+const IDX_COMMIT_GLOBAL: u64 = 3;
+const IDX_COMMIT: u64 = 7;
 
 /// The same workload against a client with every message-saving opt on
-/// ([`ClientOpts::turbo`]): lazy local begin, deferred lock release as
-/// trailers, and read-only participants releasing locks at their phase-1
-/// vote — which sends txn B through 2PC as well.
+/// ([`ClientOpts::turbo`]): deferred lock release as trailers, and
+/// read-only participants releasing locks at their phase-1 vote — which
+/// sends txn B through 2PC as well.
 ///
-/// | idx | message                                      | txn |
-/// |-----|----------------------------------------------|-----|
-/// | 0   | FetchPage p0 (X) → srv0                      | A   |
-/// | 1   | FetchPage p1 (X) → srv1                      | A   |
-/// | 2   | BeginGlobal → srv0           (pool is empty) | A   |
-/// | 3   | CommitGlobal → srv0 [+branches, +prefetch]   | A   |
-/// | 4   | FetchPage p0 (X) → srv0     [+ReleaseAll]    | B   |
-/// | 5   | FetchPage p1 (S) → srv1     [+ReleaseAll]    | B   |
-/// | 6   | CommitGlobal → srv0 [+branches, +prefetch]   | B   |
+/// | idx | message                                         | txn |
+/// |-----|-------------------------------------------------|-----|
+/// | 0   | FetchPage p0 (X) → srv0 [+BeginTxn]             | A   |
+/// | 1   | FetchPage p1 (X) → srv1                         | A   |
+/// | 2   | BeginGlobal → srv0              (pool is empty) | A   |
+/// | 3   | CommitGlobal → srv0 [+branches, +prefetch]      | A   |
+/// | 4   | FetchPage p0 (X) → srv0 [+ReleaseAll, BeginTxn] | B   |
+/// | 5   | FetchPage p1 (S) → srv1 [+ReleaseAll]           | B   |
+/// | 6   | CommitGlobal → srv0 [+branches, +prefetch]      | B   |
 ///
-/// No `BeginTxn`, no standalone `ReleaseAll`, no second `BeginGlobal`
+/// No standalone `ReleaseAll`, no second `BeginGlobal`
 /// (prefetched by the trailer on message 3), and srv1 — read-only in txn
 /// B — votes at phase 1 and is never contacted again.
 const TURBO_WORKLOAD_MSGS: u64 = 7;
@@ -723,7 +724,9 @@ fn dead_lock_holder_is_reclaimed_for_the_next_client() {
 
 // ---- graceful degradation -------------------------------------------------
 
-/// Drain mode: in-flight transactions finish, new ones are turned away.
+/// Drain mode: in-flight transactions finish, new ones are turned away —
+/// at their first request, which announces them (`begin` sends nothing),
+/// and before that request takes a lock.
 #[test]
 fn draining_server_finishes_old_work_and_rejects_new() {
     let cluster = build();
@@ -734,14 +737,77 @@ fn draining_server_finishes_old_work_and_rejects_new() {
     cluster.servers[0].set_draining(true);
     // The in-flight transaction runs to completion...
     client.commit(vec![upd(cluster.p0, &[0; 2], b"dd")]).unwrap();
-    // ...but a new one is rejected.
-    assert!(matches!(client.begin(), Err(ClientError::Server(_))));
-    assert!(cluster.servers[0].stats().drain_rejections.get() >= 1);
+    // ...but a new one is refused, for as long as the server drains.
+    client.begin().unwrap();
+    for _ in 0..2 {
+        let refused = client.fetch_page(cluster.p0, LockMode::X);
+        assert!(
+            matches!(&refused, Err(ClientError::Server(why)) if why == DRAINING),
+            "{refused:?}"
+        );
+    }
+    assert!(cluster.servers[0].stats().drain_rejections.get() >= 2);
+    assert_eq!(cluster.servers[0].locks_held_by(CLIENT), []);
+    client.abort().unwrap();
 
     cluster.servers[0].set_draining(false);
     client.begin().unwrap();
+    client.fetch_page(cluster.p0, LockMode::X).unwrap();
     client.abort().unwrap();
     client.disconnect();
+}
+
+/// The same through a node server, which passes the announcement on with
+/// the first frame the new transaction makes it send: the owner refuses
+/// that frame, and the node server is left with no lock and no page from
+/// it. (What the node server can serve from its own caches it serves; a
+/// draining owner never hears of that.)
+#[test]
+fn draining_server_rejects_new_work_behind_a_node_server() {
+    const NODE_SERVER: NodeId = NodeId(50);
+    let cluster = build();
+    let p2 = {
+        let seg = cluster.servers[0].areas().get(0).unwrap().alloc(1).unwrap();
+        DbPage { area: 0, page: seg.start_page }
+    };
+    let ns = NodeServer::start(
+        NodeServerConfig::new(NODE_SERVER),
+        Arc::clone(&cluster.dir),
+        &cluster.net,
+    );
+    let client = {
+        let mut cfg = ClientConfig::new(CLIENT, NODE_SERVER);
+        cfg.gateway = Some(NODE_SERVER);
+        ClientConn::connect(&cluster.net, Arc::clone(&cluster.dir), cfg)
+    };
+    client.begin().unwrap();
+    client.fetch_page(cluster.p0, LockMode::X).unwrap();
+
+    let srv0 = &cluster.servers[0];
+    srv0.set_draining(true);
+    client.commit(vec![upd(cluster.p0, &[0; 2], b"dd")]).unwrap();
+    assert_eq!(&read_page_bytes(srv0, cluster.p0)[0..2], b"dd");
+
+    let shipped = srv0.stats().fetches.get() + srv0.stats().reads.get();
+    client.begin().unwrap();
+    let refused = client.fetch_page(p2, LockMode::S);
+    assert!(
+        matches!(&refused, Err(ClientError::Server(why)) if why == DRAINING),
+        "{refused:?}"
+    );
+    assert!(srv0.stats().drain_rejections.get() >= 1);
+    let p2_lock = LockName::Page { area: p2.area, page: p2.page };
+    assert!(!srv0.locks_held_by(NODE_SERVER).contains(&p2_lock));
+    assert_eq!(ns.lock_cache().cached_mode(p2_lock), None);
+    assert_eq!(srv0.stats().fetches.get() + srv0.stats().reads.get(), shipped);
+    client.abort().unwrap();
+
+    srv0.set_draining(false);
+    client.begin().unwrap();
+    client.fetch_page(p2, LockMode::S).unwrap();
+    client.commit(vec![]).unwrap();
+    client.disconnect();
+    ns.shutdown();
 }
 
 /// Read-only fallback: reads keep flowing, every mutation is refused.
@@ -924,10 +990,7 @@ fn degraded_mode_still_replays_recorded_commit_replies() {
     let cluster = build();
     let t = Duration::from_secs(2);
     let ep = cluster.net.register(NodeId(7));
-    let txn = match ep.call(SRV0, Msg::BeginTxn, t).unwrap() {
-        Msg::TxnId(txn) => txn,
-        other => panic!("bad reply {other:?}"),
-    };
+    let txn = (7 << 32) | 1;
     let commit = Msg::Commit {
         txn,
         updates: vec![upd(cluster.p0, &[0; 2], b"cc")],
