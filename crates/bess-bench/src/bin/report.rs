@@ -888,7 +888,8 @@ fn e19_failure_containment(report: &mut JsonReport) {
     );
 
     // Client message layout for this workload: 0 FetchPage (announcing the
-    // transaction), 1 Commit, 2 ReleaseAll.
+    // transaction), 1 Commit. The release is owed, and the cable is pulled
+    // before the tick or the disconnect could pay it.
     let run = |fault: Option<(u64, NetFaultKind)>, die_before_commit: bool| {
         let world = World::new(&[&[0]], Duration::ZERO);
         let seg = world.area_sets[0].get(0).unwrap().alloc(1).unwrap();

@@ -931,13 +931,14 @@ pub fn run_crash_leg(cfg: &ScenarioCfg) -> CrashLegReport {
         digest.mix(p);
     }
 
-    // Non-caching message layout per txn: Begin, Fetch, Commit,
-    // ReleaseAll. Drop the commit *reply* of the txn a quarter in.
+    // Non-caching message layout per txn: Fetch (which announces the
+    // transaction and releases the one before), Commit. Drop the commit
+    // *reply* of the txn a quarter in.
     let phase_a = scale.crash_txns / 2;
     let faulted_txn = phase_a / 2;
     net.arm(NetFaultPlan::armed_from(
         NodeId(1),
-        4 * faulted_txn as u64 + 2,
+        2 * faulted_txn as u64 + 1,
         NetFaultKind::DropReply,
     ));
 

@@ -114,7 +114,25 @@ impl<M> Envelope<M> {
     /// Replies to an RPC (no-op for one-way messages whose sender went
     /// away).
     pub fn reply(self, msg: M) {
-        if let Some(tx) = self.reply {
+        Replier(self.reply).reply(msg);
+    }
+
+    /// Takes the envelope apart, so that a handler can own the payload
+    /// (no copy) and answer afterwards.
+    pub fn into_parts(self) -> (NodeId, M, Replier<M>) {
+        (self.from, self.msg, Replier(self.reply))
+    }
+}
+
+/// The way back to an RPC's caller, detached from the request (see
+/// [`Envelope::into_parts`]).
+pub struct Replier<M>(Option<Sender<M>>);
+
+impl<M> Replier<M> {
+    /// Replies to the RPC (no-op for a one-way message, or when the sender
+    /// went away).
+    pub fn reply(self, msg: M) {
+        if let Some(tx) = self.0 {
             let _ = tx.send(msg);
         }
     }
@@ -639,6 +657,25 @@ mod tests {
         server.join().unwrap();
         assert_eq!(net.stats().calls.get(), 1);
         assert_eq!(net.stats().messages(), 2);
+    }
+
+    #[test]
+    fn an_envelope_taken_apart_still_answers() {
+        let net = Network::<String>::new(Duration::ZERO);
+        let a = net.register(NodeId(1));
+        let b = net.register(NodeId(2));
+        let server = thread::spawn(move || {
+            for _ in 0..2 {
+                let (from, msg, replier) = b.recv(Duration::from_secs(5)).unwrap().into_parts();
+                assert_eq!(from, NodeId(1));
+                // One-way the first time: answering is a no-op.
+                replier.reply(msg + "!");
+            }
+        });
+        a.send(NodeId(2), "one-way".into()).unwrap();
+        let reply = a.call(NodeId(2), "hi".into(), Duration::from_secs(5));
+        assert_eq!(reply.unwrap(), "hi!");
+        server.join().unwrap();
     }
 
     #[test]

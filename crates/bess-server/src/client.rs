@@ -97,16 +97,11 @@ impl From<NetError> for ClientError {
 /// Result alias for client operations.
 pub type ClientResult<T> = Result<T, ClientError>;
 
-/// Opt-in message-saving behaviours. All default **off**: each one changes
-/// the wire conversation, and fault-injection tests pin exact message
-/// sequences for the default client.
+/// Opt-in message-saving behaviours. Default **off**: it changes the wire
+/// conversation, and fault-injection tests pin exact message sequences for
+/// the default client.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ClientOpts {
-    /// At end of transaction (non-caching clients), piggyback `ReleaseAll`
-    /// as a trailer on the next message to each touched server instead of
-    /// sending it standalone; the listener's idle tick flushes releases
-    /// that found no carrier in time.
-    pub defer_release: bool,
     /// Enrol every touched server as a 2PC participant and let read-only
     /// participants release this client's locks when they vote, dropping
     /// both the `ReleaseAll` to them and their phase-2 traffic. Only
@@ -119,7 +114,6 @@ impl ClientOpts {
     /// Every message-saving behaviour at once (bench/turbo preset).
     pub fn turbo() -> Self {
         ClientOpts {
-            defer_release: true,
             release_read_locks: true,
         }
     }
@@ -156,7 +150,7 @@ pub struct ClientConfig {
     pub max_retries: u32,
     /// Base delay for the capped exponential retry backoff.
     pub retry_base: Duration,
-    /// Opt-in message-saving behaviours (all off by default).
+    /// Opt-in message-saving behaviours (off by default).
     pub opts: ClientOpts,
 }
 
@@ -590,10 +584,11 @@ impl ClientConn {
     }
 
     /// Aborts the active transaction: uncommitted pages are discarded and
-    /// (for non-caching clients) locks released.
+    /// (for non-caching clients) locks released. The servers are told only
+    /// of a transaction they have heard of.
     pub fn abort(&self) -> ClientResult<()> {
         let txn = self.current_txn().ok_or(ClientError::NoTxn)?;
-        let _ = self.up.rpc(self.cfg.home, Msg::Abort { txn }, Some(TxnId(txn)));
+        self.up.abort(TxnId(txn));
         self.stats.aborts.inc();
         self.end_txn(txn)
     }
@@ -614,17 +609,24 @@ impl ClientConn {
             // Locks stay cached; answer deferred callbacks now.
             self.up.release_finished(TxnId(txn));
         } else {
-            // Transaction-duration caching (§3): drop everything.
-            self.up.release_all(self.cfg.opts.defer_release);
+            // Transaction-duration caching (§3): drop everything. The
+            // servers hear of it with the next frame, or the next tick.
+            self.up.release_all();
         }
         Ok(())
     }
 
     /// Disconnects: stops the listener and releases every cached lock
-    /// (deferred release debts are paid immediately).
+    /// (release debts are paid now).
     pub fn disconnect(&self) {
         self.up.close();
         self.stop_listener();
+    }
+
+    /// The listener's idle tick, now.
+    #[cfg(test)]
+    pub(crate) fn tick_now(&self) {
+        self.up.tick();
     }
 
     fn stop_listener(&self) {

@@ -30,6 +30,7 @@ mod nodeserver;
 mod pipeline;
 mod proto;
 mod scrub;
+mod serve;
 mod server;
 mod upstream;
 
@@ -578,20 +579,71 @@ mod tests {
         let _ = b.abort();
     }
 
+    /// The end of a transaction sends nothing: the server sheds the locks
+    /// with the client's next frame, or with its next tick.
     #[test]
     fn non_caching_client_releases_locks_at_txn_end() {
         let w = world(&[&[0]]);
         let a = client(&w, 1, false);
         let b = client(&w, 2, false);
-        let p = seg_page(&w, 0);
+        let (p, q) = (seg_page(&w, 0), seg_page(&w, 0));
+        let held = || w.servers[0].locks_held_by(a.node());
         a.begin().unwrap();
         a.fetch_page(p, LockMode::X).unwrap();
         a.commit(vec![update(p, 0, &[0], &[1])]).unwrap();
-        // No callback needed: A released at commit. B acquires immediately.
+        // The next frame: the release runs ahead of what the frame asks.
+        a.begin().unwrap();
+        a.fetch_page(q, LockMode::S).unwrap();
+        assert_eq!(held(), [crate::upstream::page_lock(q)]);
+        a.commit(vec![]).unwrap();
+        // No frame follows: one tick.
+        a.tick_now();
+        assert_eq!(held(), []);
+        // No callback needed: B acquires immediately.
         b.begin().unwrap();
         b.fetch_page(p, LockMode::X).unwrap();
         b.commit(vec![update(p, 0, &[1], &[2])]).unwrap();
         assert_eq!(w.servers[0].stats().callbacks_sent.get(), 0);
+    }
+
+    /// An application behind a node server that ends a transaction and
+    /// goes idle keeps its local locks for one tick at most: the waiter
+    /// behind it is let in by that tick, not by the lock timeout.
+    #[test]
+    fn an_idle_holders_tick_lets_the_waiter_in() {
+        let w = world(&[&[0]]);
+        let ns = NodeServer::start(NodeServerConfig::new(NodeId(50)), Arc::clone(&w.dir), &w.net);
+        let via = |node| {
+            let mut cfg = ClientConfig::new(NodeId(node), ns.node());
+            cfg.gateway = Some(ns.node());
+            ClientConn::connect(&w.net, Arc::clone(&w.dir), cfg)
+        };
+        let (a, b) = (via(51), via(52));
+        let p = seg_page(&w, 0);
+        a.begin().unwrap();
+        a.fetch_page(p, LockMode::S).unwrap();
+        a.commit(vec![]).unwrap();
+        let counter = |name| ns.metrics().registry().snapshot().counter(name);
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                b.begin().unwrap();
+                b.lock(crate::upstream::page_lock(p), LockMode::X)
+            });
+            // B is queued behind A's S — or A's listener has ticked by
+            // itself already, and B is through.
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            while counter("lock.waits") == 0 && !waiter.is_finished() {
+                assert!(std::time::Instant::now() < deadline, "B's request never got there");
+                std::thread::yield_now();
+            }
+            a.tick_now();
+            waiter.join().unwrap().expect("granted once A's tick has paid");
+        });
+        assert_eq!(counter("lock.timeouts"), 0);
+        b.abort().unwrap();
+        a.disconnect();
+        b.disconnect();
+        ns.shutdown();
     }
 }
 

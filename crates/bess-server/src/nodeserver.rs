@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 use bess_obs::{Counter, Group, Registry};
 use bess_cache::{DbPage, GetOutcome, PageIo, SharedCache};
 use bess_lock::{CacheDecision, LockCache, LockManager, LockMode, LockName, TxnId};
-use bess_net::{Endpoint, NetError, Network, NodeId};
+use bess_net::{Endpoint, Network, NodeId};
 use bess_vm::PageStore;
 use bess_wal::{LogBody, LogManager, Lsn};
 use parking_lot::{Condvar, Mutex};
@@ -38,6 +38,7 @@ use crate::client::{ClientError, ClientResult};
 use crate::directory::Directory;
 use crate::pipeline::{log_write_set, write_sets_of, LoggedWriteSet};
 use crate::proto::{granted_prefix, single_page_reply, Msg, PageUpdate};
+use crate::serve::{serve, IDLE_TICK};
 use crate::upstream::{
     page_lock, reply_for, Shipment, Upstream, UpstreamConfig, UpstreamCounters, MAX_RETRIES,
     RETRY_BASE,
@@ -340,46 +341,22 @@ impl Drop for NodeServer {
 }
 
 fn ns_loop(inner: Arc<NsInner>, endpoint: Endpoint<Msg>) {
-    while inner.running.load(Ordering::Relaxed) {
-        match endpoint.recv(Duration::from_millis(50)) {
-            Ok(env) => {
-                let inner = Arc::clone(&inner);
-                std::thread::spawn(move || {
-                    let from = env.from;
-                    let msg = env.msg.clone();
-                    let reply = inner.handle(from, msg);
-                    env.reply(reply);
-                });
-            }
-            // Idle tick: renew this node's lease at the owning servers so
-            // its cached locks aren't reaped.
-            Err(NetError::Timeout) => inner.up.tick(),
-            Err(_) => break,
-        }
-    }
+    let handler = Arc::clone(&inner);
+    // Housekeeping renews this node's lease, under load as often as idle.
+    let handle = move |from, msg| handler.handle(from, msg);
+    serve(&endpoint, &inner.running, handle, IDLE_TICK, || inner.up.tick());
 }
 
 impl NsInner {
     fn handle(self: &Arc<Self>, from: NodeId, msg: Msg) -> Msg {
         // Unwrap piggybacked trailers from local applications: run them in
         // frame order before the carrier, returning only `TxnId` replies.
-        let (msg, trailers) = match msg {
-            Msg::WithTrailers { msg, trailers } => {
-                self.up.net_stats().trailers.add(trailers.len() as u64);
-                (*msg, trailers)
-            }
-            m => (m, Vec::new()),
-        };
+        let (msg, trailers) = msg.into_trailers();
         if !trailers.is_empty() {
-            let mut t_replies = Vec::new();
-            for t in trailers {
-                let r = self.handle(from, t);
-                if matches!(r, Msg::TxnId(_)) {
-                    t_replies.push(r);
-                }
-            }
-            let reply = self.handle(from, msg);
-            return Msg::with_trailers(reply, t_replies);
+            self.up.net_stats().trailers.add(trailers.len() as u64);
+            let replies = trailers.into_iter().map(|t| self.handle(from, t));
+            let t_replies = replies.filter(|r| matches!(r, Msg::TxnId(_))).collect();
+            return Msg::with_trailers(self.handle(from, msg), t_replies);
         }
         // A local application's locks are held under its node's name.
         let app = TxnId(u64::from(from.0));

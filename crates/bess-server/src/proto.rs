@@ -629,6 +629,14 @@ impl Msg {
         }
     }
 
+    /// Undoes [`Self::with_trailers`]: the carrier and what rode with it.
+    pub(crate) fn into_trailers(self) -> (Msg, Vec<Msg>) {
+        match self {
+            Msg::WithTrailers { msg, trailers } => (*msg, trailers),
+            bare => (bare, Vec::new()),
+        }
+    }
+
     /// Encodes the message into its binary wire form.
     pub fn encode(&self) -> Vec<u8> {
         let mut b = Vec::new();

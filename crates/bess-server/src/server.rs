@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 use bess_obs::{Counter, Group, LatencyHistogram, Registry};
 use bess_cache::{AreaSet, DbPage};
 use bess_lock::{LockManager, LockMode, LockName, OrderedMutex, Rank, TxnId};
-use bess_net::{Caller, Endpoint, Envelope, Network, NodeId};
+use bess_net::{Caller, Endpoint, Network, NodeId};
 use bess_storage::{AreaId, DiskPtr};
 use bess_wal::{GroupCommitConfig, LogBody, LogManager, Lsn, RecoveryReport};
 use parking_lot::{Condvar, Mutex};
@@ -42,6 +42,7 @@ use crate::proto::{
 };
 use crate::pipeline::{Accounting, CommitError, CommitPipeline, Resolution};
 use crate::scrub::{IntegrityStats, MediaGate, ScrubConfig, ScrubPassReport, Scrubber};
+use crate::serve::serve;
 
 /// Server configuration.
 #[derive(Clone, Debug)]
@@ -657,80 +658,12 @@ impl Drop for BessServer {
     }
 }
 
-/// Warm request-handler threads kept parked per server. Steady-state
-/// traffic is handed to one of these instead of paying a thread spawn per
-/// message; bursts (or messages arriving while every warm worker is busy
-/// in a long-blocking handler — a lock callback, a coordinator round)
-/// overflow to a transient spawn, so liveness never depends on pool size.
-const SERVE_POOL: usize = 4;
-
 fn serve_loop(inner: Arc<ServerInner>, endpoint: Endpoint<Msg>) {
-    // Reaping must not depend on the loop going idle: a server under
-    // continuous load never hits the recv timeout, and a dead client's
-    // locks would be held forever. Reap on a time budget (a quarter of the
-    // lease, so expiry is noticed promptly) from the busy path too.
+    let handler = Arc::clone(&inner);
+    // A quarter of the lease: expiry is noticed promptly under load too.
     let reap_every = inner.cfg.lease_duration / 4;
-    let mut last_reap = Instant::now();
-    // `idle` counts workers parked in `recv`. The dispatcher (this loop,
-    // the only sender) hands a message to the pool only after reserving a
-    // parked worker by decrementing the count, so a message can never
-    // queue behind a blocked handler — exactly-one-of handoff-or-spawn.
-    let (work_tx, work_rx) = crossbeam::channel::unbounded::<Envelope<Msg>>();
-    let idle = Arc::new(AtomicU64::new(0));
-    let mut workers = Vec::new();
-    for _ in 0..SERVE_POOL {
-        let rx = work_rx.clone();
-        let handler = Arc::clone(&inner);
-        let idle = Arc::clone(&idle);
-        workers.push(std::thread::spawn(move || {
-            idle.fetch_add(1, Ordering::SeqCst);
-            while let Ok(env) = rx.recv() {
-                let from = env.from;
-                let msg = env.msg.clone();
-                let reply = handler.handle(from, msg);
-                env.reply(reply);
-                idle.fetch_add(1, Ordering::SeqCst);
-            }
-        }));
-    }
-    drop(work_rx);
-    while inner.running.load(Ordering::Relaxed) {
-        match endpoint.recv(Duration::from_millis(50)) {
-            Ok(env) => {
-                let mut env = Some(env);
-                if idle.load(Ordering::SeqCst) > 0 {
-                    idle.fetch_sub(1, Ordering::SeqCst);
-                    // LINT: allow(panic) — env was set to Some one line up
-                    if let Err(back) = work_tx.send(env.take().expect("env present")) {
-                        env = Some(back.0);
-                    }
-                }
-                if let Some(env) = env {
-                    let handler = Arc::clone(&inner);
-                    std::thread::spawn(move || {
-                        let from = env.from;
-                        let msg = env.msg.clone();
-                        let reply = handler.handle(from, msg);
-                        env.reply(reply);
-                    });
-                }
-                if last_reap.elapsed() >= reap_every {
-                    last_reap = Instant::now();
-                    inner.reap_expired();
-                }
-            }
-            Err(bess_net::NetError::Timeout) => {
-                // Idle tick: reap clients whose lease ran out.
-                last_reap = Instant::now();
-                inner.reap_expired();
-            }
-            Err(_) => break,
-        }
-    }
-    drop(work_tx);
-    for w in workers {
-        let _ = w.join();
-    }
+    let handle = move |from, msg| handler.handle(from, msg);
+    serve(&endpoint, &inner.running, handle, reap_every, || inner.reap_expired());
 }
 
 impl ServerInner {
@@ -786,13 +719,8 @@ impl ServerInner {
         // this delivery owns execution (i.e. after the dedup gate admits
         // the carrier), so a network-duplicated frame cannot run its
         // trailers twice or re-allocate a trailer-prefetched txn id.
-        let (msg, trailers) = match msg {
-            Msg::WithTrailers { msg, trailers } => {
-                self.caller.stats().trailers.add(trailers.len() as u64);
-                (*msg, trailers)
-            }
-            m => (m, Vec::new()),
-        };
+        let (msg, trailers) = msg.into_trailers();
+        self.caller.stats().trailers.add(trailers.len() as u64);
 
         // At-most-once execution for the non-idempotent requests: a
         // retried commit with the same request id gets the recorded reply
@@ -1159,9 +1087,8 @@ impl ServerInner {
                 None => Msg::Err(format!("no area {area}")),
             },
             Msg::Commit { txn, updates, .. } => self.do_commit(txn, &updates),
-            Msg::Abort { txn } => {
+            Msg::Abort { .. } => {
                 self.stats.aborts.inc();
-                let _ = txn;
                 Msg::Ok
             }
             Msg::CommitGlobal {

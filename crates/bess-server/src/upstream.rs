@@ -19,7 +19,7 @@ use bess_cache::DbPage;
 use bess_lock::{CacheDecision, CallbackResponse, LockCache, LockMode, LockName, TxnId};
 use bess_net::{Caller, NetError, NetStats, NodeId};
 use bess_obs::Counter;
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use crate::client::{ClientError, ClientResult};
 use crate::directory::Directory;
@@ -155,11 +155,14 @@ struct State {
     /// Transactions begun here that no server has heard of yet (see
     /// [`Upstream::announce`]).
     unannounced: HashSet<TxnId>,
-    /// Servers owed a `ReleaseAll` (`release_all`), with the time the debt
-    /// was incurred; paid as a trailer on the next message there, or
-    /// flushed by [`Upstream::tick`] once it has waited a heartbeat
-    /// interval without finding a carrier.
-    release_debts: HashMap<NodeId, Instant>,
+    /// Servers owed a `ReleaseAll` ([`Upstream::release_all`]): paid as a
+    /// trailer on the next frame there, by the next [`Upstream::tick`], or
+    /// by [`Upstream::close`] — whichever comes first.
+    release_debts: HashSet<NodeId>,
+    /// Servers whose debt a tick is paying right now: its `ReleaseAll` is
+    /// out and not yet answered. No frame leaves for such a server
+    /// ([`Upstream::paid`]).
+    paying: HashSet<NodeId>,
     /// Last time any message went to each server. A standalone heartbeat is
     /// suppressed when real traffic already renewed the lease within the
     /// heartbeat interval.
@@ -203,6 +206,8 @@ pub(crate) struct Upstream {
     // LINT: allow(raw-counter) — request-id allocator for idempotent retry, not a metric
     next_req: AtomicU64,
     state: Mutex<State>,
+    /// Signalled when a server leaves [`State::paying`].
+    paid: Condvar,
     last_heartbeat: Mutex<Instant>,
     /// Leases found lost so far (see [`Self::lease_epoch`]).
     // LINT: allow(raw-counter) — an epoch compared for equality, not a metric
@@ -229,6 +234,7 @@ impl Upstream {
             incarnation: fresh_incarnation(),
             next_req: AtomicU64::new(1),
             state: Mutex::default(),
+            paid: Condvar::new(),
             last_heartbeat: Mutex::new(Instant::now()),
             lease_epoch: AtomicU64::new(0),
         }
@@ -318,7 +324,10 @@ impl Upstream {
 
     /// [`Self::rpc`] with caller-supplied trailers riding the same frame
     /// (any `ReleaseAll` debt for `to` joins them, and the `BeginTxn` of a
-    /// transaction this is the first frame of).
+    /// transaction this is the first frame of). Waits out a tick that is
+    /// paying `to`'s debt: a server hands two frames of one sender to two
+    /// threads, so a release still in flight could run after this frame
+    /// and take the locks it is about to be granted.
     fn rpc_with_trailers(
         &self,
         to: NodeId,
@@ -330,11 +339,14 @@ impl Upstream {
         let announces = self.announce_target().ok() == Some(to);
         let (owes_release, announced) = {
             let mut state = self.state.lock();
+            while state.paying.contains(&to) {
+                self.paid.wait(&mut state);
+            }
             state.touched.insert(to);
             // Feeds heartbeat suppression.
             state.last_sent.insert(to, Instant::now());
             (
-                state.release_debts.remove(&to).is_some(),
+                state.release_debts.remove(&to),
                 txn.filter(|t| announces && state.unannounced.remove(t)),
             )
         };
@@ -384,14 +396,16 @@ impl Upstream {
         // A transaction stays unannounced until a server has admitted it:
         // its next frame announces it again when this one got no answer,
         // and when a draining server refused it — so that it is refused
-        // for as long as the server drains.
-        let turned_away = match &outcome {
-            Ok(Msg::Err(e)) => e == DRAINING,
-            Ok(_) => false,
-            Err(_) => true,
-        };
-        if let (Some(txn), true) = (announced, turned_away) {
-            self.state.lock().unannounced.insert(txn);
+        // for as long as the server drains. A release is owed until a
+        // frame that carried it was answered (the refusal comes after the
+        // trailers before the announcement have run).
+        let unanswered = outcome.is_err();
+        if unanswered || matches!(&outcome, Ok(Msg::Err(e)) if e == DRAINING) {
+            let mut state = self.state.lock();
+            if owes_release && unanswered {
+                state.release_debts.insert(to);
+            }
+            state.unannounced.extend(announced);
         }
         outcome
     }
@@ -720,6 +734,23 @@ impl Upstream {
         }
     }
 
+    /// Tells the home server (or the gateway) that `txn` is aborted —
+    /// unless no server has heard of it, and then nothing is sent. A
+    /// gateway ends the local transaction with the `Abort` it acknowledges,
+    /// as with a `Commit`; no `ReleaseAll` is owed.
+    pub(crate) fn abort(&self, txn: TxnId) {
+        if self.state.lock().unannounced.contains(&txn) {
+            return;
+        }
+        let Ok(to) = self.announce_target() else {
+            return;
+        };
+        let acked = matches!(self.rpc(to, Msg::Abort { txn: txn.0 }, Some(txn)), Ok(Msg::Ok));
+        if acked && self.cfg.gateway == Some(to) {
+            self.state.lock().released.insert(to);
+        }
+    }
+
     /// Ends `txn`'s use of the cached locks. They stay cached, but for the
     /// ones a deferred callback waits for: purged and handed back now.
     pub(crate) fn release_finished(&self, txn: TxnId) {
@@ -744,25 +775,19 @@ impl Upstream {
     }
 
     /// Transaction-duration caching (§3), for a node with one transaction
-    /// at a time: drops every cached lock and has each server touched since
-    /// the last call, but for those that released already, release this
-    /// node's locks — told at once, or with `defer` by a trailer on the
-    /// next frame there ([`Self::tick`] is the fallback carrier).
-    pub(crate) fn release_all(&self, defer: bool) {
+    /// at a time: drops every cached lock, and owes each server touched
+    /// since the last call, but for those that released already, a
+    /// `ReleaseAll`. Nothing is sent: the debt rides the next frame to that
+    /// server ahead of the next transaction's announcement, and what finds
+    /// no frame is paid by [`Self::tick`] or [`Self::close`].
+    pub(crate) fn release_all(&self) {
         self.lock_cache.clear();
-        let (touched, already) = {
-            let mut state = self.state.lock();
-            state.unannounced.clear();
-            let touched: Vec<NodeId> = state.touched.drain().collect();
-            (touched, std::mem::take(&mut state.released))
-        };
-        for server in touched.into_iter().filter(|s| !already.contains(s)) {
-            if defer {
-                self.state.lock().release_debts.entry(server).or_insert_with(Instant::now);
-            } else {
-                let _ = self.call_once(server, Msg::ReleaseAll);
-            }
-        }
+        let mut guard = self.state.lock();
+        let state = &mut *guard;
+        state.unannounced.clear();
+        let already = std::mem::take(&mut state.released);
+        let owed = state.touched.drain().filter(|s| !already.contains(s));
+        state.release_debts.extend(owed);
     }
 
     /// Answers what an owning server sends unasked: callbacks, lease news.
@@ -830,29 +855,39 @@ impl Upstream {
         true
     }
 
-    /// The owner's idle tick: pays release debts that found no carrier,
-    /// then — once per heartbeat interval — renews this node's lease at
-    /// the home (or gateway) server and every server touched. A server
-    /// renews the lease on *every* message, so a standalone heartbeat is
-    /// pure overhead whenever real traffic went to that server recently —
-    /// those are suppressed and counted under `net.heartbeats.suppressed`.
+    /// The owner's idle tick: pays every release debt that found no
+    /// carrier yet, then — once per heartbeat interval — renews this
+    /// node's lease at the home (or gateway) server and every server
+    /// touched. A server renews the lease on *every* message, so a
+    /// standalone heartbeat is pure overhead whenever real traffic went to
+    /// that server recently — those are suppressed and counted under
+    /// `net.heartbeats.suppressed`.
+    ///
+    /// A debt is paid with a call, and the server is in [`State::paying`]
+    /// until the answer is in (or is given up on, which puts the debt
+    /// back): see [`Self::rpc_with_trailers`].
     pub(crate) fn tick(&self) {
-        let now = Instant::now();
-        let interval = self.cfg.heartbeat_interval;
-        let mut stale = Vec::new();
-        self.state.lock().release_debts.retain(|server, since| {
-            let waiting = now.duration_since(*since) < interval;
-            if !waiting {
-                stale.push(*server);
+        let owed: Vec<NodeId> = self.state.lock().release_debts.iter().copied().collect();
+        for server in owed {
+            {
+                let mut state = self.state.lock();
+                // A frame that left since took the debt along.
+                if !state.release_debts.remove(&server) {
+                    continue;
+                }
+                state.paying.insert(server);
             }
-            waiting
-        });
-        for server in stale {
-            // One-way is enough: `ReleaseAll` is idempotent and renews the
-            // lease like any other message.
-            let _ = self.caller.send(server, Msg::ReleaseAll);
-            self.state.lock().last_sent.insert(server, Instant::now());
+            let paid = self.call_once(server, Msg::ReleaseAll).is_ok();
+            {
+                let mut state = self.state.lock();
+                state.paying.remove(&server);
+                if !paid {
+                    state.release_debts.insert(server);
+                }
+            }
+            self.paid.notify_all();
         }
+        let interval = self.cfg.heartbeat_interval;
         {
             let mut last = self.last_heartbeat.lock();
             if last.elapsed() < interval {
@@ -876,7 +911,7 @@ impl Upstream {
 
     /// Pays the release debts and hands every cached lock back.
     pub(crate) fn close(&self) {
-        let owed: Vec<NodeId> = self.state.lock().release_debts.drain().map(|(n, _)| n).collect();
+        let owed: Vec<NodeId> = self.state.lock().release_debts.drain().collect();
         for server in owed {
             let _ = self.call_once(server, Msg::ReleaseAll);
         }

@@ -713,13 +713,20 @@ impl HandServer {
         assert_eq!(lock_cache.images(), 0);
     }
 
-    /// Calls an idle cached lock back, so that leaving sends nothing.
+    /// Calls an idle cached lock back, so that leaving sends nothing. A
+    /// node server may not have heard yet that the application's
+    /// transaction is over (the release rides the application's next frame
+    /// or its listener's next tick): it then defers, and hands the lock
+    /// back when it hears.
     fn call_back(&self, page: DbPage) {
-        let callback = Msg::Callback {
-            name: lock_name(page),
-        };
-        let answer = self.endpoint.call(self.holder().0, callback, WAIT).unwrap();
-        assert_eq!(answer, Msg::CallbackReleased);
+        let name = lock_name(page);
+        let answer = self.endpoint.call(self.holder().0, Msg::Callback { name }, WAIT).unwrap();
+        if answer == Msg::CallbackDeferred && self.gateway.is_some() {
+            self.next_request(|m| matches!(m, Msg::ReleaseCached { names } if names == &[name]))
+                .reply(Msg::Ok);
+        } else {
+            assert_eq!(answer, Msg::CallbackReleased);
+        }
     }
 
     /// What the client's pool gets for `pages`, asked for together inside
@@ -956,44 +963,184 @@ fn a_node_server_forwards_only_the_absent_pages() {
     hs.hang_up();
 }
 
-/// A gateway ends the local transaction with the `Commit` it acknowledges,
-/// so an updating transaction's last frame is that `Commit`; a read-only
-/// one, which ships nothing, still ends with its `ReleaseAll`. `begin`
-/// sends nothing: each transaction's first frame announces it.
+// ---- what ends a transaction ------------------------------------------------
+
+/// A node the test plays by hand (a gateway, or an owning server) and one
+/// client of it that keeps nothing between transactions.
+fn hand_played(
+    peer: NodeId,
+    tune: impl FnOnce(&mut ClientConfig),
+) -> (Endpoint<Msg>, Arc<ClientConn>) {
+    let net: Arc<Network<Msg>> = Network::new(Duration::ZERO);
+    let dir = Arc::new(Directory::new());
+    dir.set_owner(0, peer);
+    let endpoint = net.register(peer);
+    let mut cfg = ClientConfig::new(NodeId(1), peer);
+    cfg.caching = false;
+    cfg.heartbeat_interval = NO_HEARTBEATS;
+    cfg.retry_base = Duration::from_millis(1);
+    tune(&mut cfg);
+    (endpoint, ClientConn::connect(&net, dir, cfg))
+}
+
+/// A transaction's first frame: `trailers`, then the fetch of `page`.
+fn first_frame(page: DbPage, mode: LockMode, trailers: &[Msg]) -> Msg {
+    Msg::WithTrailers {
+        msg: Box::new(Msg::FetchPage { page, mode }),
+        trailers: trailers.to_vec(),
+    }
+}
+
+/// `client` leaves `peer`, owing it the release of its last transaction:
+/// one standalone `ReleaseAll`, from the listener's tick or from the
+/// disconnect, whichever comes first.
+fn leave_owing_a_release(client: &ClientConn, peer: &Endpoint<Msg>) {
+    std::thread::scope(|s| {
+        s.spawn(|| client.disconnect());
+        let release = peer.recv(WAIT).expect("the release");
+        assert_eq!(release.msg, Msg::ReleaseAll);
+        release.reply(Msg::Ok);
+    });
+    assert!(peer.try_recv().is_none());
+}
+
+/// A gateway ends the local transaction with the `Commit` or the `Abort` it
+/// acknowledges, so that frame is the transaction's last. A read-only
+/// transaction, which ships nothing, ends with no frame at all: the release
+/// it owes rides the next transaction's first frame, ahead of the
+/// announcement. `begin` sends nothing, and neither does the abort of a
+/// transaction no frame announced.
 #[test]
 fn a_commit_through_a_gateway_is_the_transactions_last_frame() {
-    let net: Arc<Network<Msg>> = Network::new(Duration::ZERO);
-    let gateway = net.register(NODE_SERVER);
-    let mut cfg = ClientConfig::new(NodeId(1), NODE_SERVER);
-    cfg.gateway = Some(NODE_SERVER);
-    cfg.heartbeat_interval = NO_HEARTBEATS;
-    let client = ClientConn::connect(&net, Arc::new(Directory::new()), cfg);
-    let first_frame = |mode| Msg::WithTrailers {
-        msg: Box::new(Msg::FetchPage { page: PAGE, mode }),
-        trailers: vec![Msg::BeginTxn],
-    };
+    let (gateway, client) = hand_played(NODE_SERVER, |cfg| cfg.gateway = Some(NODE_SERVER));
     let next = || gateway.recv(WAIT).expect("the client sent nothing");
+    let serve_fetch = |mode, trailers: &[Msg]| {
+        let fetch = next();
+        assert_eq!(fetch.msg, first_frame(PAGE, mode, trailers));
+        fetch.reply(Msg::PageData(image(0, &client)));
+    };
     std::thread::scope(|s| {
         let app = s.spawn(|| {
             txn(&client, PAGE, LockMode::X, vec![update(PAGE, 0, &[0; 2], b"up")]);
+            client.begin().unwrap();
+            client.fetch_page(PAGE, LockMode::S).unwrap();
+            client.abort().unwrap();
             txn(&client, PAGE, LockMode::S, vec![]);
+            txn(&client, PAGE, LockMode::S, vec![]);
+            client.begin().unwrap();
+            client.abort().unwrap();
         });
-        let page_data = || Msg::PageData(image(0, &client));
-        let fetch = next();
-        assert_eq!(fetch.msg, first_frame(LockMode::X));
-        fetch.reply(page_data());
+        serve_fetch(LockMode::X, &[Msg::BeginTxn]);
         let commit = next();
         assert!(matches!(commit.msg, Msg::Commit { .. }), "{:?}", commit.msg);
         commit.reply(Msg::Ok);
-        // No `ReleaseAll` in between: the next frame is the next transaction.
-        let fetch = next();
-        assert_eq!(fetch.msg, first_frame(LockMode::S));
-        fetch.reply(page_data());
-        let release = next();
-        assert_eq!(release.msg, Msg::ReleaseAll);
-        release.reply(Msg::Ok);
+        // No release after the commit: the next frame is the next
+        // transaction.
+        serve_fetch(LockMode::S, &[Msg::BeginTxn]);
+        let abort = next();
+        assert!(matches!(abort.msg, Msg::Abort { .. }), "{:?}", abort.msg);
+        abort.reply(Msg::Ok);
+        // Nor after the abort. This transaction reads only, and ends with
+        // no frame...
+        serve_fetch(LockMode::S, &[Msg::BeginTxn]);
+        // ...so the next one's first frame says so first.
+        serve_fetch(LockMode::S, &[Msg::ReleaseAll, Msg::BeginTxn]);
         app.join().unwrap();
     });
-    client.disconnect();
-    assert!(gateway.try_recv().is_none());
+    // The last transaction was never announced: nobody hears of its abort.
+    leave_owing_a_release(&client, &gateway);
+}
+
+/// The same through a real node server: the application's release is a
+/// trailer of its next first frame, and the owner hears nothing of it.
+#[test]
+fn a_release_behind_a_node_server_rides_the_next_first_frame() {
+    let hs = hand_server(true);
+    std::thread::scope(|s| {
+        let app = s.spawn(|| {
+            txn(&hs.client, PAGE, LockMode::S, vec![]);
+            txn(&hs.client, PAGE_2, LockMode::S, vec![]);
+        });
+        for page in [PAGE, PAGE_2] {
+            let asked = |m: &Msg| *m == Msg::FetchPage { page, mode: LockMode::S };
+            hs.next_request(asked).reply(hs.page_data());
+        }
+        app.join().unwrap();
+    });
+    // Two frames from the application, one from the node server for each;
+    // `[BeginTxn]`, then `[ReleaseAll, BeginTxn]` (the hand-played owner
+    // counts no trailers).
+    let stats = hs.net.stats();
+    assert_eq!((stats.calls.get(), stats.trailers.get()), (4, 3));
+    assert!(hs.endpoint.try_recv().is_none(), "the owner hears nothing of a release");
+    hs.call_back(PAGE);
+    hs.call_back(PAGE_2);
+    hs.hang_up();
+}
+
+/// A release the listener's tick pays is a call, and until it is answered
+/// no frame leaves for that server: the server hands two frames of one
+/// sender to two threads, and a release overtaken by the next transaction's
+/// fetch would take that transaction's lock. (The one wait here that is not
+/// forced is for nothing to arrive.)
+#[test]
+fn no_frame_leaves_while_a_tick_pays_the_release() {
+    let (server, client) = hand_played(SERVER, |_| {});
+    let read = |page| txn(&client, page, LockMode::S, vec![]);
+    std::thread::scope(|s| {
+        let app = s.spawn(|| read(PAGE));
+        let fetch = server.recv(WAIT).expect("the fetch");
+        assert_eq!(fetch.msg, first_frame(PAGE, LockMode::S, &[Msg::BeginTxn]));
+        fetch.reply(Msg::PageData(image(0, &client)));
+        app.join().unwrap();
+
+        // No frame follows, so the next tick pays.
+        let release = server.recv(WAIT).expect("the tick's release");
+        assert_eq!(release.msg, Msg::ReleaseAll);
+        assert!(release.wants_reply(), "a call: the node must know when it ran");
+        let app = s.spawn(|| read(PAGE_2));
+        let early = server.recv(Duration::from_millis(100));
+        assert!(early.is_err(), "a frame overtook the release: {:?}", early.map(|e| e.msg));
+        release.reply(Msg::Ok);
+        // Paid: the frame that waited carries no second release.
+        let fetch = server.recv(WAIT).expect("the fetch that waited");
+        assert_eq!(fetch.msg, first_frame(PAGE_2, LockMode::S, &[Msg::BeginTxn]));
+        fetch.reply(Msg::PageData(image(0, &client)));
+        app.join().unwrap();
+    });
+    leave_owing_a_release(&client, &server);
+}
+
+/// A release is owed until a frame that carried it was answered: when the
+/// first frame of the next transaction gets no answer after every retry,
+/// the debt is back in place — beside the announcement — and the frame
+/// after that carries both. Nobody is told of the abort in between: no
+/// server has heard of that transaction.
+#[test]
+fn a_release_whose_frame_got_no_answer_is_still_owed() {
+    let (server, client) = hand_played(SERVER, |cfg| cfg.max_retries = 1);
+    let owing = first_frame(PAGE_2, LockMode::S, &[Msg::ReleaseAll, Msg::BeginTxn]);
+    std::thread::scope(|s| {
+        let app = s.spawn(|| {
+            txn(&client, PAGE, LockMode::S, vec![]);
+            client.begin().unwrap();
+            let lost = client.fetch_page(PAGE_2, LockMode::S);
+            assert!(matches!(lost, Err(bess_server::ClientError::Net(_))), "{lost:?}");
+            client.abort().unwrap();
+            txn(&client, PAGE_2, LockMode::S, vec![]);
+        });
+        let fetch = server.recv(WAIT).expect("the fetch");
+        assert_eq!(fetch.msg, first_frame(PAGE, LockMode::S, &[Msg::BeginTxn]));
+        fetch.reply(Msg::PageData(image(0, &client)));
+        // The frame and its one retry: hung up on, unanswered.
+        for _ in 0..2 {
+            assert_eq!(server.recv(WAIT).expect("the frame").msg, owing);
+        }
+        let fetch = server.recv(WAIT).expect("the next transaction");
+        assert_eq!(fetch.msg, owing);
+        fetch.reply(Msg::PageData(image(0, &client)));
+        app.join().unwrap();
+    });
+    assert_eq!(client.stats().retries.get(), 1);
+    leave_owing_a_release(&client, &server);
 }
