@@ -1,7 +1,7 @@
 //! Pluggable I/O devices: what an [`crate::IoQueue`] executes ops against.
 //!
 //! A device is a flat positioned byte store with the raw UNIX contract —
-//! reads may come back short or interrupted (the queue's executors apply
+//! reads may come back short or interrupted (the queue's executor applies
 //! the policies in [`crate::retry`]), writes are all-or-error, `sync`
 //! makes everything written so far durable. Devices compose by wrapping
 //! ([`SlowDevice`]); the fault-injection disk in `bess-storage` is a
@@ -17,13 +17,13 @@ use bess_lock::order::{OrderedRwLock, Rank};
 
 /// A positioned byte store the I/O runtime can drive.
 ///
-/// Implementations must be internally synchronized: the thread-pool
-/// executor calls into a device from several workers at once (the queue
-/// guarantees per-file write-class ordering, not mutual exclusion).
+/// Implementations must be internally synchronized: a queue that fans a
+/// run of reads out calls `read_at` from several threads at once, and
+/// several threads may submit to one queue.
 pub trait IoDevice: Send + Sync {
     /// Reads up to `buf.len()` bytes at `offset`, returning how many were
     /// served. `Ok(0)` means the end of the store. May return short counts
-    /// and `ErrorKind::Interrupted` spuriously — executors retry.
+    /// and `ErrorKind::Interrupted` spuriously — the queue retries.
     fn read_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<usize>;
 
     /// Writes all of `data` at `offset` (growing the store if needed),
@@ -155,8 +155,8 @@ impl IoDevice for FileDevice {
 }
 
 /// Latency-injecting middleware: wraps any device and sleeps before each
-/// op. This is the slow-backend proxy (§E24) — with a fixed per-read cost,
-/// a batched scatter-gather read through the thread-pool executor overlaps
+/// op. This is the slow-backend proxy (§E24) — with a fixed per-read cost
+/// of 50 µs or more, a batched scatter-gather read fans out and overlaps
 /// the waits that N sequential `read_at` calls serialize.
 pub struct SlowDevice {
     inner: Arc<dyn IoDevice>,

@@ -5,10 +5,11 @@
 //! operations in flight. This crate is the seam that makes that possible:
 //! an io_uring-style submission/completion API ([`IoQueue::submit`] /
 //! [`IoQueue::complete`] / [`IoQueue::drain`]) over pluggable
-//! [`IoDevice`]s, backed by either a fully synchronous *inline* executor
-//! (deterministic — the op sequence a device observes is exactly the
-//! submission sequence, which the fault-injection matrices rely on) or a
-//! configurable *thread-pool* executor ([`IoRuntimeConfig`]).
+//! [`IoDevice`]s, with one executor: a submission runs on its caller's
+//! thread, in submission order, and only a run of reads on a device
+//! measured slow overlaps (DESIGN.md §17). On an in-memory device the op
+//! sequence a device observes is exactly the submission sequence, which
+//! the fault-injection matrices rely on.
 //!
 //! ## Layering
 //!
@@ -22,17 +23,22 @@
 //!
 //! ## Ordering and durability contract
 //!
-//! Per registered file:
-//! * write-class ops ([`IoOp::Write`], [`IoOp::Sync`], [`IoOp::Grow`],
-//!   [`IoOp::WriteSync`]) execute in submission order;
-//! * reads never cross a write-class op in either direction;
-//! * reads may reorder (and run concurrently) with other reads;
+//! Within one submission:
+//! * ops execute in submission order, and each has executed when
+//!   [`IoQueue::submit`] returns;
+//! * the one exception is a run of two or more consecutive [`IoOp::Read`]s
+//!   on a queue whose running mean device read time is at least 50 µs:
+//!   up to eight of them run at once, in any order, and the whole run has
+//!   finished before the op behind it starts;
+//! * so write-class ops ([`IoOp::Write`], [`IoOp::Sync`], [`IoOp::Grow`],
+//!   [`IoOp::WriteSync`]) never overlap each other or a read, on any file;
 //! * a `Sync` fences every earlier write to its file — when the sync's
 //!   completion is observed, those writes are durable.
 //!
-//! Ops on *different* files are unordered with respect to each other.
-//! A failed op fails only its own ticket; [`IoOp::WriteSync`] is one
-//! chained submission (write then sync, fail-fast) under a single ticket.
+//! Submissions from different threads are not ordered with respect to
+//! each other. A failed op fails only its own ticket; [`IoOp::WriteSync`]
+//! is one chained submission (write then sync, fail-fast) under a single
+//! ticket.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,32 +1,49 @@
 //! The submission/completion queue.
 //!
-//! [`IoQueue::submit`] enqueues a batch of [`IoOp`]s and returns one
-//! [`IoTicket`] per op; [`IoQueue::complete`] blocks until a ticket's op
-//! has executed and returns its typed result; [`IoQueue::drain`] waits
-//! for everything outstanding. Two executors share the same API:
+//! [`IoQueue::submit`] executes a batch of [`IoOp`]s and returns one
+//! [`IoTicket`] per op; [`IoQueue::complete`] redeems a ticket for its
+//! op's typed result; [`IoQueue::drain`] hands back every unclaimed
+//! result. There is one executor: a submission runs on its caller's
+//! thread, in submission order, and every op has executed by the time
+//! `submit` returns, so neither `complete` nor `drain` ever waits.
 //!
-//! * **inline** (`workers == 0`): ops execute synchronously inside
-//!   `submit`, on the caller's thread, in submission order. Fully
-//!   deterministic — the device observes exactly the submission sequence,
-//!   which is what the fault-injection matrices calibrate against.
-//! * **thread pool** (`workers > 0`): workers dequeue up to
-//!   [`IoRuntimeConfig::max_batch`] eligible ops at a time and execute
-//!   them concurrently, subject to the per-file ordering contract (see
-//!   the crate docs): write-class ops are a per-file FIFO that reads
-//!   never cross; reads reorder freely with other reads.
+//! The one exception is a run of two or more consecutive reads on a
+//! queue whose device reads are measured slow (`FAN_OUT_MIN_READ_NS`):
+//! the caller does one read of the run and scoped helper threads do the
+//! rest, at most `FAN_OUT_WIDTH` in flight, and the run has finished
+//! before the op behind it starts. Write-class ops never overlap anything.
 //!
 //! Tickets are move-only: completing one consumes it, so each completion
 //! is delivered exactly once by construction.
 
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use bess_lock::order::{OrderedMutex, Rank};
 use bess_obs::{Counter, Gauge, Group, LatencyHistogram};
-use parking_lot::Condvar;
 
 use crate::device::IoDevice;
 use crate::retry;
+
+/// A run of reads fans out only while the queue's running mean device
+/// read time is at least this. Spawning scoped threads costs ~20–30 µs for
+/// one helper and ~150 µs for seven (p50 over 2 000 spawns, 2-core host),
+/// so below it the helpers cost more than the waits they overlap: an
+/// in-memory device never fans out, a device that sleeps 100 µs per read
+/// does.
+const FAN_OUT_MIN_READ_NS: u64 = 50_000;
+
+/// Most reads of one run in flight at once: the caller and seven helpers.
+const FAN_OUT_WIDTH: usize = 8;
+
+/// The most one read adds to the running mean: a sample counts at most
+/// this, at weight 1/8, so one stalled read (a preemption) of an
+/// in-memory device lifts the mean by under 40 µs and never to
+/// [`FAN_OUT_MIN_READ_NS`], while two reads of a device that sleeps this
+/// long lift it to 70 µs.
+const READ_SAMPLE_MAX_NS: u64 = 300_000;
 
 /// Handle to a device registered with a queue (its submission-queue slot).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -94,8 +111,8 @@ impl IoOp {
         }
     }
 
-    /// Whether this is a read (reads may reorder with each other; all
-    /// other classes are per-file FIFO).
+    /// Whether this is a read (reads may overlap each other; all other
+    /// classes run alone, in submission order).
     pub fn is_read(&self) -> bool {
         matches!(self, IoOp::Read { .. })
     }
@@ -139,56 +156,16 @@ impl IoTicket {
     }
 }
 
-/// Executor tuning for an [`IoQueue`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct IoRuntimeConfig {
-    /// Worker threads. `0` selects the inline executor: ops run
-    /// synchronously at submit, in submission order, on the caller's
-    /// thread — the deterministic default every test matrix runs against.
-    pub workers: usize,
-    /// Most ops a worker dequeues (and a batch submission coalesces)
-    /// at once.
-    pub max_batch: usize,
-}
-
-impl Default for IoRuntimeConfig {
-    fn default() -> Self {
-        IoRuntimeConfig {
-            workers: 0,
-            max_batch: 16,
-        }
-    }
-}
+/// What [`IoQueue::new`] takes. It has no settings — there is one
+/// executor — and stays, with [`Self::from_env`], only for the benchmark
+/// package's probe queue, until that package's next refresh.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct IoRuntimeConfig;
 
 impl IoRuntimeConfig {
-    /// The deterministic inline executor.
-    pub fn inline() -> Self {
-        IoRuntimeConfig::default()
-    }
-
-    /// A thread-pool executor with `workers` threads.
-    pub fn pool(workers: usize) -> Self {
-        IoRuntimeConfig {
-            workers: workers.max(1),
-            ..IoRuntimeConfig::default()
-        }
-    }
-
-    /// Executor selection from the environment: `BESS_IO_EXEC=pool`
-    /// (with optional `BESS_IO_WORKERS=n`, default 4) selects the
-    /// thread-pool executor; anything else (including unset) selects
-    /// inline. CI's crash-matrix job runs the whole suite under both.
+    /// The one executor; reads no environment.
     pub fn from_env() -> Self {
-        match std::env::var("BESS_IO_EXEC").as_deref() {
-            Ok("pool") => {
-                let workers = std::env::var("BESS_IO_WORKERS")
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(4);
-                IoRuntimeConfig::pool(workers)
-            }
-            _ => IoRuntimeConfig::inline(),
-        }
+        IoRuntimeConfig
     }
 }
 
@@ -200,37 +177,212 @@ struct Registered {
     retries: Counter,
 }
 
-struct QueueState {
-    devices: Vec<Registered>,
-    /// Submitted, not yet picked up by a worker (pool executor only).
-    pending: VecDeque<(u64, IoOp)>,
-    /// Ops currently executing: `(ticket, file, is_read)`.
-    running: Vec<(u64, FileId, bool)>,
-    /// Executed, result not yet claimed. A `BTreeMap` so [`IoQueue::drain`]
-    /// returns results in ticket (= submission) order.
-    done: BTreeMap<u64, IoResult>,
-    /// Tickets handed out and not yet redeemed or drained.
-    live: HashSet<u64>,
-    next_ticket: u64,
-    shutdown: bool,
+impl Registered {
+    /// Executes `op` against this slot's device.
+    fn perform(&self, op: &IoOp) -> IoResult {
+        match op {
+            IoOp::Read {
+                offset, len, exact, ..
+            } => {
+                let mut data = vec![0u8; *len];
+                if *exact {
+                    retry::read_exact_retrying(
+                        |b, off| self.dev.read_at(b, off),
+                        &mut data,
+                        *offset,
+                        &self.retries,
+                    )?;
+                    Ok(IoOutput::Read { n: *len, data })
+                } else {
+                    let n =
+                        retry::read_accumulating(|b, off| self.dev.read_at(b, off), &mut data, *offset)?;
+                    Ok(IoOutput::Read { n, data })
+                }
+            }
+            IoOp::Write { offset, data, .. } => {
+                self.dev.write_at(data, *offset)?;
+                Ok(IoOutput::Write)
+            }
+            IoOp::Sync { .. } => {
+                self.dev.sync()?;
+                Ok(IoOutput::Sync)
+            }
+            IoOp::Grow { len, .. } => {
+                self.dev.grow_to(*len)?;
+                Ok(IoOutput::Grow)
+            }
+            IoOp::WriteSync { offset, data, .. } => {
+                self.dev.write_at(data, *offset)?;
+                self.dev.sync()?;
+                Ok(IoOutput::WriteSync)
+            }
+        }
+    }
 }
 
-struct QueueInner {
-    cfg: IoRuntimeConfig,
+struct QueueState {
+    devices: Vec<Registered>,
+    /// Executed, result not yet claimed: exactly the live tickets. A
+    /// `BTreeMap` so [`IoQueue::drain`] returns results in ticket (=
+    /// submission) order.
+    done: BTreeMap<u64, IoResult>,
+    next_ticket: u64,
+}
+
+/// An io_uring-style submission/completion queue over registered
+/// [`IoDevice`]s. See the module docs for the executor and the crate
+/// docs for the ordering contract.
+pub struct IoQueue {
     state: OrderedMutex<QueueState>,
-    /// Wakes workers when ops are submitted or ordering unblocks.
-    work_cv: Condvar,
-    /// Wakes completion waiters when a result is published.
-    done_cv: Condvar,
-    /// Outstanding ops (submitted, not yet executed): `io.queue.depth`.
+    /// Ops submitted and not yet executed: `io.queue.depth`.
     depth: Gauge,
-    /// Ops per submission/dequeue batch: `io.batch.size`.
+    /// Ops per submission: `io.batch.size`.
     batch_size: LatencyHistogram,
     /// Device-side execution time per op: `io.op.ns`.
     op_ns: LatencyHistogram,
+    /// Running mean time of one read op, in ns: exponentially weighted,
+    /// 1/8 per read, starting at 0, so a device whose delays switch on (or
+    /// off) is seen within a few reads.
+    // LINT: allow(raw-counter) — the executor's read-time estimate, not a metric
+    read_ns: AtomicU64,
 }
 
-impl QueueInner {
+impl IoQueue {
+    /// Creates a queue, registering its metrics (`io.queue.depth`,
+    /// `io.batch.size`, `io.op.ns`) in `group`.
+    pub fn new(_cfg: IoRuntimeConfig, group: &Group) -> Self {
+        IoQueue {
+            state: OrderedMutex::new(
+                Rank::IoQueue,
+                "io.queue.state",
+                QueueState {
+                    devices: Vec::new(),
+                    done: BTreeMap::new(),
+                    next_ticket: 0,
+                },
+            ),
+            depth: group.gauge("io.queue.depth"),
+            batch_size: group.histogram("io.batch.size"),
+            op_ns: group.histogram("io.op.ns"),
+            read_ns: AtomicU64::new(0),
+        }
+    }
+
+    /// A queue with unregistered metrics (tests, tools).
+    pub fn unregistered() -> Self {
+        Self::new(IoRuntimeConfig, &bess_obs::Registry::new().group("io"))
+    }
+
+    /// Registers a device, returning its submission slot. Transient read
+    /// retries against this device are charged to `retries` (adapters
+    /// pass their own stats counter; pass [`Counter::unregistered`] to
+    /// discard).
+    pub fn register(&self, dev: Arc<dyn IoDevice>, retries: Counter) -> FileId {
+        let mut state = self.state.lock();
+        state.devices.push(Registered { dev, retries });
+        // Slot count is bounded by registrations (a handful per queue).
+        // LINT: allow(cast) — device slots are far below u32::MAX.
+        FileId(state.devices.len() as u32 - 1)
+    }
+
+    /// Direct access to a registered device. This is *not* a queue op —
+    /// it exists for out-of-band introspection (store length, crash-image
+    /// snapshots) that must not perturb fault-plan op counts.
+    pub fn device(&self, file: FileId) -> Option<Arc<dyn IoDevice>> {
+        self.state
+            .lock()
+            .devices
+            .get(file.0 as usize)
+            .map(|r| Arc::clone(&r.dev))
+    }
+
+    /// The registered device's current length (out-of-band; see
+    /// [`Self::device`]).
+    pub fn device_len(&self, file: FileId) -> std::io::Result<u64> {
+        self.registered(file)?.dev.len()
+    }
+
+    /// Executes a batch of ops and returns one ticket per op, in order.
+    /// Every op has executed when this returns.
+    pub fn submit(&self, ops: &[IoOp]) -> Vec<IoTicket> {
+        self.submit_owned(ops.to_vec())
+    }
+
+    /// [`Self::submit`] without the defensive copy (hot paths hand the
+    /// op buffers over). Ops run on this thread in submission order, but
+    /// for a run of reads on a slow queue, which `fan_out` overlaps.
+    pub fn submit_owned(&self, ops: Vec<IoOp>) -> Vec<IoTicket> {
+        if ops.is_empty() {
+            return Vec::new();
+        }
+        let n = ops.len();
+        self.depth.add(n as i64);
+        self.batch_size.record(n as u64);
+        let mut results = Vec::with_capacity(n);
+        let mut rest = &ops[..];
+        while !rest.is_empty() {
+            let reads = rest.iter().take_while(|op| op.is_read()).count();
+            let (run, tail) = rest.split_at(reads.clamp(1, FAN_OUT_WIDTH));
+            if run.len() >= 2 && self.read_ns.load(Ordering::Relaxed) >= FAN_OUT_MIN_READ_NS {
+                results.extend(self.fan_out(run));
+            } else {
+                results.extend(run.iter().map(|op| self.execute(op)));
+            }
+            rest = tail;
+        }
+        let mut state = self.state.lock();
+        let first = state.next_ticket;
+        state.next_ticket += n as u64;
+        for (id, res) in (first..).zip(results) {
+            state.done.insert(id, res);
+        }
+        // Under the guard that publishes the results: whoever sees an op
+        // done (`complete`, `drain`) sees it off the gauge.
+        self.depth.sub(n as i64);
+        (first..state.next_ticket).map(|id| IoTicket { id }).collect()
+    }
+
+    /// Submits a single op and returns its result — the one-element
+    /// batch the blocking entry points shim through.
+    pub fn run_one(&self, op: IoOp) -> IoResult {
+        let mut tickets = self.submit_owned(vec![op]);
+        // submit_owned returns exactly one ticket per op.
+        // LINT: allow(panic) — one op in, one ticket out, by construction
+        self.complete(tickets.pop().expect("one ticket per op"))
+    }
+
+    /// Redeems `ticket` for its op's result; never waits. Consuming the
+    /// ticket makes completion exactly-once; a ticket invalidated by
+    /// [`Self::drain`] fails with `InvalidInput`.
+    pub fn complete(&self, ticket: IoTicket) -> IoResult {
+        let res = self.state.lock().done.remove(&ticket.id);
+        res.unwrap_or_else(|| {
+            Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("ticket {} is not outstanding (drained?)", ticket.id),
+            ))
+        })
+    }
+
+    /// Returns every unclaimed result in ticket (= submission) order,
+    /// invalidating their tickets. After a fault-injection episode this
+    /// is how a caller guarantees nothing is left behind — no leaked
+    /// tickets, an empty queue.
+    pub fn drain(&self) -> Vec<IoResult> {
+        let done = std::mem::take(&mut self.state.lock().done);
+        done.into_values().collect()
+    }
+
+    /// Ops submitted but not yet executed (the `io.queue.depth` gauge).
+    pub fn depth(&self) -> i64 {
+        self.depth.get()
+    }
+
+    /// Whether any ticket is outstanding (unclaimed submit).
+    pub fn has_outstanding(&self) -> bool {
+        !self.state.lock().done.is_empty()
+    }
+
     fn registered(&self, file: FileId) -> std::io::Result<Registered> {
         self.state
             .lock()
@@ -245,375 +397,47 @@ impl QueueInner {
             })
     }
 
-    /// Runs one op against its device (no queue locks held).
+    /// Executes a run of reads at once: this thread does the first, one
+    /// scoped helper each does the others. Results come back in run order, and
+    /// the run has finished when this returns.
+    fn fan_out(&self, run: &[IoOp]) -> Vec<IoResult> {
+        std::thread::scope(|s| {
+            let helpers: Vec<_> = run[1..]
+                .iter()
+                .map(|op| s.spawn(move || self.execute(op)))
+                .collect();
+            let mut results = vec![self.execute(&run[0])];
+            for helper in helpers {
+                results.push(helper.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+            }
+            results
+        })
+    }
+
+    /// Runs one op against its device (no queue locks held), timing it
+    /// into `io.op.ns` and, for a read, into the running mean read time.
     fn execute(&self, op: &IoOp) -> IoResult {
         let reg = self.registered(op.file())?;
-        let _timer = self.op_ns.start();
-        match op {
-            IoOp::Read {
-                offset, len, exact, ..
-            } => {
-                let mut data = vec![0u8; *len];
-                if *exact {
-                    retry::read_exact_retrying(
-                        |b, off| reg.dev.read_at(b, off),
-                        &mut data,
-                        *offset,
-                        &reg.retries,
-                    )?;
-                    Ok(IoOutput::Read { n: *len, data })
-                } else {
-                    let n =
-                        retry::read_accumulating(|b, off| reg.dev.read_at(b, off), &mut data, *offset)?;
-                    Ok(IoOutput::Read { n, data })
-                }
-            }
-            IoOp::Write { offset, data, .. } => {
-                reg.dev.write_at(data, *offset)?;
-                Ok(IoOutput::Write)
-            }
-            IoOp::Sync { .. } => {
-                reg.dev.sync()?;
-                Ok(IoOutput::Sync)
-            }
-            IoOp::Grow { len, .. } => {
-                reg.dev.grow_to(*len)?;
-                Ok(IoOutput::Grow)
-            }
-            IoOp::WriteSync { offset, data, .. } => {
-                reg.dev.write_at(data, *offset)?;
-                reg.dev.sync()?;
-                Ok(IoOutput::WriteSync)
-            }
+        let started = Instant::now();
+        let res = reg.perform(op);
+        let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        if self.op_ns.timing() {
+            self.op_ns.record(ns);
         }
-    }
-}
-
-/// Pool-executor dequeue: how many of the pending ops could start right
-/// now under the per-file ordering contract.
-fn eligible_count(state: &QueueState) -> usize {
-    scan_eligible(state, usize::MAX, |_| {})
-}
-
-/// Walks `pending` in submission order, calling `take(index)` for each op
-/// that may start (up to `limit`), and returns how many were eligible.
-/// An op may start iff no earlier op (running or pending) on the same
-/// file conflicts with it; only read/read pairs don't conflict.
-fn scan_eligible(state: &QueueState, limit: usize, mut take: impl FnMut(usize)) -> usize {
-    let mut seen_read: HashSet<FileId> = HashSet::new();
-    let mut seen_write: HashSet<FileId> = HashSet::new();
-    for (_, file, is_read) in &state.running {
-        if *is_read {
-            seen_read.insert(*file);
-        } else {
-            seen_write.insert(*file);
-        }
-    }
-    let mut taken = 0;
-    for (i, (_, op)) in state.pending.iter().enumerate() {
-        let file = op.file();
-        let ok = if op.is_read() {
-            !seen_write.contains(&file)
-        } else {
-            !seen_write.contains(&file) && !seen_read.contains(&file)
-        };
-        if ok && taken < limit {
-            take(i);
-            taken += 1;
-        }
-        // Whether taken or merely passed over, this op now orders
-        // everything behind it on the same file.
         if op.is_read() {
-            seen_read.insert(file);
-        } else {
-            seen_write.insert(file);
+            // Load-then-store: two racing reads may drop one sample, which
+            // an estimate can afford.
+            let mean = self.read_ns.load(Ordering::Relaxed);
+            let sample = ns.min(READ_SAMPLE_MAX_NS);
+            self.read_ns.store(mean - mean / 8 + sample / 8, Ordering::Relaxed);
         }
-    }
-    taken
-}
-
-fn worker_loop(inner: &QueueInner) {
-    loop {
-        // Select a batch under the state lock, then execute with no
-        // locks held.
-        let batch: Vec<(u64, IoOp)> = {
-            let mut state = inner.state.lock();
-            loop {
-                if state.shutdown {
-                    return;
-                }
-                let avail = eligible_count(&state);
-                if avail > 0 {
-                    // Fair share: a burst splits across the pool instead
-                    // of one worker draining it serially — that split is
-                    // where a batched submission's overlap comes from.
-                    let share = avail.div_ceil(inner.cfg.workers.max(1));
-                    let take = inner.cfg.max_batch.min(share.max(1));
-                    let mut indices = Vec::new();
-                    scan_eligible(&state, take, |i| indices.push(i));
-                    let mut batch = Vec::with_capacity(indices.len());
-                    // Back-to-front so earlier indices stay valid.
-                    for &i in indices.iter().rev() {
-                        // The index came from the scan just above, under
-                        // the same guard, so remove cannot fail.
-                        if let Some(entry) = state.pending.remove(i) {
-                            batch.push(entry);
-                        }
-                    }
-                    batch.reverse();
-                    for (id, op) in &batch {
-                        state.running.push((*id, op.file(), op.is_read()));
-                    }
-                    break batch;
-                }
-                // LINT: allow(blocking-under-lock) — condvar wait atomically releases the queue lock via raw().
-                inner.work_cv.wait(state.raw());
-            }
-        };
-        inner.batch_size.record(batch.len() as u64);
-        for (id, op) in batch {
-            let res = inner.execute(&op);
-            {
-                let mut state = inner.state.lock();
-                state.running.retain(|(rid, _, _)| *rid != id);
-                // Under the guard that publishes the result: whoever sees
-                // the op done (`complete`, `drain`) sees it off the gauge.
-                inner.depth.sub(1);
-                state.done.insert(id, res);
-            }
-            inner.done_cv.notify_all();
-            // A completed write-class op may unblock ops queued behind it.
-            inner.work_cv.notify_all();
-        }
-    }
-}
-
-/// An io_uring-style submission/completion queue over registered
-/// [`IoDevice`]s. See the module docs for the executor modes and the
-/// ordering contract.
-pub struct IoQueue {
-    inner: Arc<QueueInner>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl IoQueue {
-    /// Creates a queue with `cfg`, registering its metrics
-    /// (`io.queue.depth`, `io.batch.size`, `io.op.ns`) in `group`.
-    pub fn new(cfg: IoRuntimeConfig, group: &Group) -> Self {
-        let inner = Arc::new(QueueInner {
-            cfg,
-            state: OrderedMutex::new(
-                Rank::IoQueue,
-                "io.queue.state",
-                QueueState {
-                    devices: Vec::new(),
-                    pending: VecDeque::new(),
-                    running: Vec::new(),
-                    done: BTreeMap::new(),
-                    live: HashSet::new(),
-                    next_ticket: 0,
-                    shutdown: false,
-                },
-            ),
-            work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-            depth: group.gauge("io.queue.depth"),
-            batch_size: group.histogram("io.batch.size"),
-            op_ns: group.histogram("io.op.ns"),
-        });
-        let workers = (0..cfg.workers)
-            .map(|i| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("bess-io-w{i}"))
-                    .spawn(move || worker_loop(&inner))
-                    // Thread spawn only fails when the process is out of
-                    // resources; nothing useful can continue from there.
-                    // LINT: allow(panic) — unrecoverable resource exhaustion at startup
-                    .expect("spawn io worker")
-            })
-            .collect();
-        IoQueue { inner, workers }
-    }
-
-    /// A queue with unregistered metrics (tests, tools).
-    pub fn unregistered(cfg: IoRuntimeConfig) -> Self {
-        Self::new(cfg, &bess_obs::Registry::new().group("io"))
-    }
-
-    /// This queue's executor configuration.
-    pub fn config(&self) -> IoRuntimeConfig {
-        self.inner.cfg
-    }
-
-    /// Registers a device, returning its submission slot. Transient read
-    /// retries against this device are charged to `retries` (adapters
-    /// pass their own stats counter; pass [`Counter::unregistered`] to
-    /// discard).
-    pub fn register(&self, dev: Arc<dyn IoDevice>, retries: Counter) -> FileId {
-        let mut state = self.inner.state.lock();
-        state.devices.push(Registered { dev, retries });
-        // Slot count is bounded by registrations (a handful per queue).
-        // LINT: allow(cast) — device slots are far below u32::MAX.
-        FileId(state.devices.len() as u32 - 1)
-    }
-
-    /// Direct access to a registered device. This is *not* a queue op —
-    /// it exists for out-of-band introspection (store length, crash-image
-    /// snapshots) that must not perturb fault-plan op counts.
-    pub fn device(&self, file: FileId) -> Option<Arc<dyn IoDevice>> {
-        self.inner
-            .state
-            .lock()
-            .devices
-            .get(file.0 as usize)
-            .map(|r| Arc::clone(&r.dev))
-    }
-
-    /// The registered device's current length (out-of-band; see
-    /// [`Self::device`]).
-    pub fn device_len(&self, file: FileId) -> std::io::Result<u64> {
-        self.inner.registered(file)?.dev.len()
-    }
-
-    /// Submits a batch of ops, returning one ticket per op in order.
-    ///
-    /// Inline executor: the ops execute before this returns (in
-    /// submission order); `complete` then just collects results. Pool
-    /// executor: ops are queued for the workers and execute subject to
-    /// the per-file ordering contract.
-    pub fn submit(&self, ops: &[IoOp]) -> Vec<IoTicket> {
-        self.submit_owned(ops.to_vec())
-    }
-
-    /// [`Self::submit`] without the defensive copy (hot paths hand the
-    /// op buffers over).
-    pub fn submit_owned(&self, ops: Vec<IoOp>) -> Vec<IoTicket> {
-        if ops.is_empty() {
-            return Vec::new();
-        }
-        self.inner.depth.add(ops.len() as i64);
-        self.inner.batch_size.record(ops.len() as u64);
-        if self.inner.cfg.workers == 0 {
-            // Inline: assign tickets, then execute in submission order on
-            // this thread with no queue locks held.
-            let first = {
-                let mut state = self.inner.state.lock();
-                let first = state.next_ticket;
-                state.next_ticket += ops.len() as u64;
-                for i in 0..ops.len() as u64 {
-                    state.live.insert(first + i);
-                }
-                first
-            };
-            let results: Vec<IoResult> = ops.iter().map(|op| self.inner.execute(op)).collect();
-            let mut state = self.inner.state.lock();
-            for (i, res) in results.into_iter().enumerate() {
-                state.done.insert(first + i as u64, res);
-            }
-            self.inner.depth.sub(ops.len() as i64);
-            (0..ops.len() as u64).map(|i| IoTicket { id: first + i }).collect()
-        } else {
-            let tickets = {
-                let mut state = self.inner.state.lock();
-                let first = state.next_ticket;
-                state.next_ticket += ops.len() as u64;
-                for (i, op) in ops.into_iter().enumerate() {
-                    let id = first + i as u64;
-                    state.live.insert(id);
-                    state.pending.push_back((id, op));
-                }
-                let last = state.next_ticket;
-                (first..last).map(|id| IoTicket { id }).collect()
-            };
-            self.inner.work_cv.notify_all();
-            tickets
-        }
-    }
-
-    /// Submits a single op and waits for its result — the one-element
-    /// batch the legacy blocking entry points shim through.
-    pub fn run_one(&self, op: IoOp) -> IoResult {
-        let mut tickets = self.submit_owned(vec![op]);
-        // submit_owned returns exactly one ticket per op.
-        // LINT: allow(panic) — one op in, one ticket out, by construction
-        self.complete(tickets.pop().expect("one ticket per op"))
-    }
-
-    /// Blocks until `ticket`'s op has executed and returns its result.
-    /// Consuming the ticket makes completion exactly-once; a ticket
-    /// invalidated by [`Self::drain`] fails with `InvalidInput`.
-    pub fn complete(&self, ticket: IoTicket) -> IoResult {
-        let mut state = self.inner.state.lock();
-        if !state.live.remove(&ticket.id) {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!("ticket {} is not outstanding (drained?)", ticket.id),
-            ));
-        }
-        loop {
-            if let Some(res) = state.done.remove(&ticket.id) {
-                return res;
-            }
-            if state.shutdown {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::BrokenPipe,
-                    "io queue shut down with ops outstanding",
-                ));
-            }
-            // LINT: allow(blocking-under-lock) — condvar wait atomically releases the queue lock via raw().
-            self.inner.done_cv.wait(state.raw());
-        }
-    }
-
-    /// Waits for every outstanding op and returns all unclaimed results
-    /// in ticket (= submission) order, invalidating their tickets. After
-    /// a fault-injection episode this is how a caller guarantees nothing
-    /// is left in flight — no leaked tickets, an empty queue.
-    pub fn drain(&self) -> Vec<IoResult> {
-        let mut state = self.inner.state.lock();
-        while !(state.pending.is_empty() && state.running.is_empty()) {
-            if state.shutdown {
-                break;
-            }
-            // LINT: allow(blocking-under-lock) — condvar wait atomically releases the queue lock via raw().
-            self.inner.done_cv.wait(state.raw());
-        }
-        state.live.clear();
-        let done = std::mem::take(&mut state.done);
-        done.into_values().collect()
-    }
-
-    /// Ops submitted but not yet executed (the `io.queue.depth` gauge).
-    pub fn depth(&self) -> i64 {
-        self.inner.depth.get()
-    }
-
-    /// Whether any ticket is outstanding (unclaimed submit).
-    pub fn has_outstanding(&self) -> bool {
-        let state = self.inner.state.lock();
-        !state.live.is_empty() || !state.pending.is_empty() || !state.running.is_empty()
-    }
-}
-
-impl Drop for IoQueue {
-    fn drop(&mut self) {
-        {
-            let mut state = self.inner.state.lock();
-            state.shutdown = true;
-        }
-        self.inner.work_cv.notify_all();
-        self.inner.done_cv.notify_all();
-        for h in std::mem::take(&mut self.workers) {
-            let _ = h.join();
-        }
+        res
     }
 }
 
 impl std::fmt::Debug for IoQueue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IoQueue")
-            .field("cfg", &self.inner.cfg)
             .field("depth", &self.depth())
             .finish_non_exhaustive()
     }
@@ -624,8 +448,8 @@ mod tests {
     use super::*;
     use crate::device::MemDevice;
 
-    fn queue_with_mem(cfg: IoRuntimeConfig) -> (IoQueue, FileId) {
-        let q = IoQueue::unregistered(cfg);
+    fn queue_with_mem() -> (IoQueue, FileId) {
+        let q = IoQueue::unregistered();
         let f = q.register(MemDevice::new(), Counter::unregistered());
         (q, f)
     }
@@ -647,7 +471,7 @@ mod tests {
 
     #[test]
     fn inline_round_trip() {
-        let (q, f) = queue_with_mem(IoRuntimeConfig::inline());
+        let (q, f) = queue_with_mem();
         let tickets = q.submit(&[
             IoOp::Grow { file: f, len: 64 },
             IoOp::Write {
@@ -667,27 +491,8 @@ mod tests {
     }
 
     #[test]
-    fn pool_round_trip_and_ordering() {
-        let (q, f) = queue_with_mem(IoRuntimeConfig::pool(4));
-        // A chain of dependent writes to one file: per-file FIFO makes the
-        // last value win regardless of worker scheduling.
-        let ops: Vec<IoOp> = (0u8..32)
-            .map(|i| IoOp::Write {
-                file: f,
-                offset: 0,
-                data: vec![i; 16],
-            })
-            .collect();
-        let tickets = q.submit(&ops);
-        for t in tickets {
-            q.complete(t).unwrap();
-        }
-        assert_eq!(read_back(&q, f, 0, 16), vec![31u8; 16]);
-    }
-
-    #[test]
     fn write_sync_is_one_chained_ticket() {
-        let (q, f) = queue_with_mem(IoRuntimeConfig::inline());
+        let (q, f) = queue_with_mem();
         let res = q
             .run_one(IoOp::WriteSync {
                 file: f,
@@ -701,7 +506,7 @@ mod tests {
 
     #[test]
     fn unknown_file_fails_only_its_ticket() {
-        let (q, f) = queue_with_mem(IoRuntimeConfig::inline());
+        let (q, f) = queue_with_mem();
         let tickets = q.submit(&[
             IoOp::Write {
                 file: FileId(99),
@@ -725,44 +530,8 @@ mod tests {
     }
 
     #[test]
-    fn drain_returns_everything_in_ticket_order_and_invalidates() {
-        let (q, f) = queue_with_mem(IoRuntimeConfig::pool(2));
-        let tickets = q.submit(&[
-            IoOp::Write {
-                file: f,
-                offset: 0,
-                data: vec![7; 4],
-            },
-            IoOp::Read {
-                file: f,
-                offset: 0,
-                len: 4,
-                exact: true,
-            },
-        ]);
-        let results = q.drain();
-        assert_eq!(results.len(), 2);
-        assert!(matches!(results[0], Ok(IoOutput::Write)));
-        match &results[1] {
-            Ok(IoOutput::Read { data, n }) => {
-                assert_eq!(*n, 4);
-                assert_eq!(data, &vec![7u8; 4]);
-            }
-            other => panic!("expected read, got {other:?}"),
-        }
-        assert!(!q.has_outstanding(), "drain leaves no leaked tickets");
-        // The drained tickets are dead.
-        for t in tickets {
-            assert_eq!(
-                q.complete(t).unwrap_err().kind(),
-                std::io::ErrorKind::InvalidInput
-            );
-        }
-    }
-
-    #[test]
     fn inexact_read_reports_short_count() {
-        let (q, f) = queue_with_mem(IoRuntimeConfig::inline());
+        let (q, f) = queue_with_mem();
         q.run_one(IoOp::Write {
             file: f,
             offset: 0,
@@ -794,13 +563,5 @@ mod tests {
             })
             .unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
-    }
-
-    #[test]
-    fn from_env_defaults_to_inline() {
-        // The test runner doesn't set BESS_IO_EXEC; guard the default.
-        if std::env::var("BESS_IO_EXEC").is_err() {
-            assert_eq!(IoRuntimeConfig::from_env().workers, 0);
-        }
     }
 }

@@ -1,18 +1,20 @@
-//! Property tests for the submission/completion queue, run against both
-//! executors:
+//! Property tests for the submission/completion queue's one executor:
 //!
+//! * on a fast device, each file observes exactly its submission order —
+//!   reads included, since a fast queue never fans a run of reads out;
 //! * every submitted op's result is delivered exactly once — through its
 //!   ticket or through `drain()`, never both, never zero;
-//! * per-file write-class ops reach the device in submission order, and
-//!   reads never cross a write-class op, under any worker count;
 //! * a failed op fails only its own ticket — everything else in the batch
 //!   completes normally;
 //! * `drain()` after fault injection leaves the queue empty: no leaked
-//!   tickets, no outstanding ops, and drained tickets are dead.
+//!   tickets, no outstanding ops, and drained tickets are dead;
+//! * on a slow device a run of reads is in flight at once, and a write
+//!   submitted behind the run starts only after the whole run is done.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
-use bess_io::{IoDevice, IoOp, IoOutput, IoQueue, IoRuntimeConfig, MemDevice};
+use bess_io::{IoDevice, IoOp, IoOutput, IoQueue, MemDevice, SlowDevice};
 use bess_obs::Counter;
 use proptest::prelude::*;
 
@@ -107,6 +109,22 @@ impl Spec {
         )
     }
 
+    /// The device calls this op makes, in order. Every store length is a
+    /// whole number of pages, so a page read is one `read_at`; a poisoned
+    /// `WriteSync` fails fast and never issues its sync.
+    fn device_calls(&self) -> Vec<Observed> {
+        match *self {
+            Spec::Read { page, .. } => vec![Observed::Read(page * PAGE)],
+            Spec::Write { page, .. } => vec![Observed::Write(page * PAGE)],
+            Spec::Sync { .. } => vec![Observed::Sync],
+            Spec::Grow { pages, .. } => vec![Observed::Grow(pages * PAGE)],
+            Spec::WriteSync { page, poison: true, .. } => vec![Observed::Write(page * PAGE)],
+            Spec::WriteSync { page, poison: false, .. } => {
+                vec![Observed::Write(page * PAGE), Observed::Sync]
+            }
+        }
+    }
+
     fn to_op(&self, files: &[bess_io::FileId]) -> IoOp {
         let payload = |page: u64, poison: bool| {
             let mut d = vec![(page % 251) as u8 + 1; PAGE as usize];
@@ -159,24 +177,13 @@ fn spec_strategy() -> impl Strategy<Value = Spec> {
     ]
 }
 
-fn exec_strategy() -> impl Strategy<Value = IoRuntimeConfig> {
-    prop_oneof![
-        Just(IoRuntimeConfig::inline()),
-        (1usize..4, 1usize..8).prop_map(|(workers, max_batch)| IoRuntimeConfig {
-            workers,
-            max_batch,
-        }),
-    ]
-}
-
 /// Builds a queue over two recording devices and submits `specs` split
 /// into `splits + 1` batches.
 fn run(
-    cfg: IoRuntimeConfig,
     specs: &[Spec],
     splits: &[usize],
 ) -> (IoQueue, Vec<Arc<RecordingDevice>>, Vec<bess_io::IoTicket>) {
-    let q = IoQueue::unregistered(cfg);
+    let q = IoQueue::unregistered();
     let devs: Vec<Arc<RecordingDevice>> = (0..2).map(|_| RecordingDevice::new()).collect();
     let files: Vec<bess_io::FileId> = devs
         .iter()
@@ -200,89 +207,34 @@ fn run(
     (q, devs, tickets)
 }
 
-/// The device-observed op order per file must respect the contract: the
-/// subsequence of write-class ops equals the submitted write-class order,
-/// and each read happens between the same two write-class ops it was
-/// submitted between (reads only reorder with reads).
+/// On a fast device the device sees each file's ops exactly in submission
+/// order: every class, reads included.
 fn assert_order(file: usize, specs: &[Spec], observed: &[Observed]) {
-    // Expected write-class subsequence, in submission order.
-    let submitted_writes: Vec<Observed> = specs
+    let submitted: Vec<Observed> = specs
         .iter()
         .filter(|s| s.file() == file)
-        .filter_map(|s| match *s {
-            Spec::Write { page, .. } => Some(vec![Observed::Write(page * PAGE)]),
-            Spec::Sync { .. } => Some(vec![Observed::Sync]),
-            Spec::Grow { pages, .. } => Some(vec![Observed::Grow(pages * PAGE)]),
-            // WriteSync reaches the device as write then sync — but a
-            // poisoned write fails fast, so its sync is never issued.
-            Spec::WriteSync { page, poison: true, .. } => Some(vec![Observed::Write(page * PAGE)]),
-            Spec::WriteSync { page, poison: false, .. } => {
-                Some(vec![Observed::Write(page * PAGE), Observed::Sync])
-            }
-            Spec::Read { .. } => None,
-        })
-        .flatten()
-        .collect();
-    let observed_writes: Vec<Observed> = observed
-        .iter()
-        .filter(|o| !matches!(o, Observed::Read(_)))
-        .cloned()
+        .flat_map(Spec::device_calls)
         .collect();
     assert_eq!(
-        observed_writes, submitted_writes,
-        "file {file}: write-class ops must reach the device in submission order"
-    );
-
-    // Reads: count write-class device ops preceding each read, observed vs
-    // submitted. Equal counts mean no read crossed a write-class op.
-    let submitted_read_positions: Vec<usize> = {
-        let mut wc = 0;
-        let mut v = Vec::new();
-        for s in specs.iter().filter(|s| s.file() == file) {
-            match s {
-                Spec::Read { .. } => v.push(wc),
-                Spec::Write { .. } | Spec::Sync { .. } | Spec::Grow { .. } => wc += 1,
-                Spec::WriteSync { poison, .. } => wc += if *poison { 1 } else { 2 },
-            }
-        }
-        v
-    };
-    let observed_read_positions: Vec<usize> = {
-        let mut wc = 0;
-        let mut v = Vec::new();
-        for o in observed {
-            match o {
-                Observed::Read(_) => v.push(wc),
-                _ => wc += 1,
-            }
-        }
-        v
-    };
-    let mut want = submitted_read_positions;
-    let mut got = observed_read_positions;
-    // Reads between the same pair of write-class ops may reorder freely,
-    // so compare as multisets of positions.
-    want.sort_unstable();
-    got.sort_unstable();
-    assert_eq!(
-        got, want,
-        "file {file}: reads must not cross write-class ops"
+        observed,
+        &submitted[..],
+        "file {file}: the device must see exactly the submission order"
     );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Exactly-once delivery + failure isolation: every ticket redeems to
-    /// exactly one result, a poisoned op fails alone, and afterwards the
-    /// queue holds nothing.
+    /// Exactly-once delivery, failure isolation and submission order:
+    /// every ticket redeems to exactly one result, a poisoned op fails
+    /// alone, afterwards the queue holds nothing, and each file saw its
+    /// ops in the order they were submitted.
     #[test]
     fn completions_are_exactly_once_and_faults_isolated(
         specs in prop::collection::vec(spec_strategy(), 1..24),
         splits in prop::collection::vec(0usize..24, 0..3),
-        cfg in exec_strategy(),
     ) {
-        let (q, devs, tickets) = run(cfg, &specs, &splits);
+        let (q, devs, tickets) = run(&specs, &splits);
         prop_assert_eq!(tickets.len(), specs.len());
         for (spec, ticket) in specs.iter().zip(tickets) {
             let res = q.complete(ticket);
@@ -294,21 +246,19 @@ proptest! {
         }
         prop_assert!(!q.has_outstanding(), "all tickets redeemed, queue empty");
         prop_assert_eq!(q.depth(), 0);
-        // Per-file order held regardless of faults.
         for (file, dev) in devs.iter().enumerate() {
             assert_order(file, &specs, &dev.observed());
         }
     }
 
     /// `drain()` after fault injection: every unclaimed result comes back
-    /// (in ticket order), nothing is leaked, and drained tickets are dead.
+    /// in ticket order, nothing is leaked, and drained tickets are dead.
     #[test]
     fn drain_after_faults_leaves_no_leaked_tickets(
         specs in prop::collection::vec(spec_strategy(), 1..24),
         claim in 0usize..24,
-        cfg in exec_strategy(),
     ) {
-        let (q, _devs, tickets) = run(cfg, &specs, &[]);
+        let (q, _devs, tickets) = run(&specs, &[]);
         let claim = claim.min(tickets.len());
         let mut it = tickets.into_iter();
         // Redeem a prefix through tickets, leave the rest for drain().
@@ -319,8 +269,8 @@ proptest! {
         let drained = q.drain();
         prop_assert_eq!(drained.len(), specs.len() - claim,
             "drain returns exactly the unclaimed results");
-        // BTreeMap keys put drained results in submission order: they line
-        // up with the unclaimed specs one-to-one.
+        // Drained results come back in submission order: they line up
+        // with the unclaimed specs one-to-one.
         for (spec, res) in specs.iter().skip(claim).zip(&drained) {
             prop_assert_eq!(res.is_err(), spec.poisoned(),
                 "drained result must match its op: {:?} -> {:?}", spec, res);
@@ -335,19 +285,10 @@ proptest! {
     }
 
     /// Read results reflect the per-file write order: after a chain of
-    /// writes to one page interleaved with reads elsewhere, the final
-    /// image is the last-submitted write.
+    /// writes to one page, the image is the last-submitted write.
     #[test]
-    fn last_write_wins_per_file(
-        values in prop::collection::vec(1u8..251, 1..12),
-        workers in 0usize..4,
-    ) {
-        let cfg = if workers == 0 {
-            IoRuntimeConfig::inline()
-        } else {
-            IoRuntimeConfig { workers, max_batch: 3 }
-        };
-        let q = IoQueue::unregistered(cfg);
+    fn last_write_wins_per_file(values in prop::collection::vec(1u8..251, 1..12)) {
+        let q = IoQueue::unregistered();
         let dev = MemDevice::new();
         let f = q.register(dev, Counter::unregistered());
         let ops: Vec<IoOp> = values
@@ -364,4 +305,143 @@ proptest! {
             other => prop_assert!(false, "expected read output, got {:?}", other),
         }
     }
+}
+
+/// In-flight bookkeeping of [`InFlightDevice`].
+#[derive(Default)]
+struct Flight {
+    in_flight: usize,
+    most_in_flight: usize,
+    reads_done: usize,
+    /// `(reads in flight, reads done)` when each write started.
+    at_write: Vec<(usize, usize)>,
+    /// While set, a read waits for a second read to join it, so a run
+    /// that fans out is seen with two in flight on any schedule.
+    rendezvous: bool,
+}
+
+/// A recorder over a slow device that counts the reads in flight.
+struct InFlightDevice {
+    inner: Arc<dyn IoDevice>,
+    flight: Mutex<Flight>,
+    joined: Condvar,
+}
+
+/// How long a read waits for a second one before going on alone — only
+/// reached when the run did not fan out, which the test then reports.
+const RENDEZVOUS_GIVE_UP: Duration = Duration::from_secs(10);
+
+impl IoDevice for InFlightDevice {
+    fn read_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<usize> {
+        {
+            let mut f = self.flight.lock().unwrap();
+            f.in_flight += 1;
+            f.most_in_flight = f.most_in_flight.max(f.in_flight);
+            if f.most_in_flight >= 2 {
+                f.rendezvous = false;
+                self.joined.notify_all();
+            }
+            let (_f, _) = self
+                .joined
+                .wait_timeout_while(f, RENDEZVOUS_GIVE_UP, |f| f.rendezvous)
+                .unwrap();
+        }
+        let res = self.inner.read_at(buf, offset);
+        let mut f = self.flight.lock().unwrap();
+        f.in_flight -= 1;
+        f.reads_done += 1;
+        res
+    }
+
+    fn write_at(&self, data: &[u8], offset: u64) -> std::io::Result<()> {
+        {
+            let mut f = self.flight.lock().unwrap();
+            let at = (f.in_flight, f.reads_done);
+            f.at_write.push(at);
+        }
+        self.inner.write_at(data, offset)
+    }
+
+    fn grow_to(&self, bytes: u64) -> std::io::Result<()> {
+        self.inner.grow_to(bytes)
+    }
+
+    fn sync(&self) -> std::io::Result<()> {
+        self.inner.sync()
+    }
+
+    fn len(&self) -> std::io::Result<u64> {
+        self.inner.len()
+    }
+}
+
+/// On a device whose reads take 2 ms, the queue learns from two warm-up
+/// reads that a run of reads is worth overlapping: a run of eight then has
+/// more than one read in flight (the recorder holds the run's first read
+/// until a second joins it, so no schedule can hide the overlap), and the
+/// write submitted behind it starts with every read of the run done and
+/// none in flight.
+#[test]
+fn slow_reads_fan_out_and_a_write_waits_for_the_run() {
+    let slow = SlowDevice::new(
+        MemDevice::with_contents(vec![5u8; 8 * PAGE as usize]),
+        Duration::from_millis(2),
+        Duration::ZERO,
+        Duration::ZERO,
+    );
+    let dev = Arc::new(InFlightDevice {
+        inner: slow,
+        flight: Mutex::new(Flight::default()),
+        joined: Condvar::new(),
+    });
+    let q = IoQueue::unregistered();
+    let f = q.register(Arc::clone(&dev) as Arc<dyn IoDevice>, Counter::unregistered());
+    let read = |page: u64| IoOp::Read {
+        file: f,
+        offset: page * PAGE,
+        len: PAGE as usize,
+        exact: true,
+    };
+
+    // One stalled read of a fast device must not be mistaken for a slow
+    // device, so one warm-up read is not enough and two are.
+    for page in 0..2 {
+        q.run_one(read(page)).unwrap();
+    }
+    assert_eq!(dev.flight.lock().unwrap().most_in_flight, 1, "warm-up reads run alone");
+    dev.flight.lock().unwrap().rendezvous = true;
+
+    let mut ops: Vec<IoOp> = (0..8).map(read).collect();
+    ops.push(IoOp::Write {
+        file: f,
+        offset: 0,
+        data: vec![9u8; PAGE as usize],
+    });
+    let tickets = q.submit_owned(ops);
+    let results: Vec<_> = tickets.into_iter().map(|t| q.complete(t)).collect();
+    for (page, res) in results[..8].iter().enumerate() {
+        match res {
+            Ok(IoOutput::Read { data, n }) => {
+                assert_eq!(*n, PAGE as usize, "page {page}");
+                assert_eq!(data, &vec![5u8; PAGE as usize], "page {page} read before the write");
+            }
+            other => panic!("page {page}: expected a read, got {other:?}"),
+        }
+    }
+    assert!(matches!(results[8], Ok(IoOutput::Write)), "{:?}", results[8]);
+
+    let flight = dev.flight.lock().unwrap();
+    assert!(
+        flight.most_in_flight >= 2,
+        "a run of 8 slow reads must overlap, most in flight {}",
+        flight.most_in_flight
+    );
+    assert!(flight.most_in_flight <= 8, "width is 8, saw {}", flight.most_in_flight);
+    assert_eq!(
+        flight.at_write,
+        vec![(0, 2 + 8)],
+        "the write starts after the whole run (and the warm-up) is done"
+    );
+    assert!(!q.has_outstanding());
+    assert_eq!(q.depth(), 0);
 }

@@ -1,5 +1,7 @@
 // Fixture: blocking operations while an ordered guard is live — direct
-// device I/O, a direct sleep, and a chained block through DevIo::flush_all.
+// device I/O, a direct sleep, a chained block through DevIo::flush_all,
+// and a guard held across a queue submission, whose ops run on the
+// submitting thread and reach the device through `read_at`.
 
 pub struct BadFlush {
     state: Mutex<u32>,
@@ -25,16 +27,27 @@ impl BadFlush {
         drop(state);
     }
 
-    pub fn completes(&self, q: &IoQueue, t: Ticket) {
+    pub fn submits(&self, q: &IoQueue, ops: Vec<IoOp>) {
         let state = self.state.lock();
-        q.complete(t);
+        q.submit_owned(ops);
         drop(state);
     }
+}
 
-    pub fn drains(&self, q: &IoQueue) {
-        let state = self.state.lock();
-        q.drain();
-        drop(state);
+pub struct IoQueue {
+    dev: Disk,
+}
+
+impl IoQueue {
+    pub fn submit_owned(&self, ops: Vec<IoOp>) {
+        for op in &ops {
+            self.execute(op);
+        }
+    }
+
+    fn execute(&self, op: &IoOp) {
+        let mut buf = [0u8; 8];
+        self.dev.read_at(&mut buf, op.offset);
     }
 }
 

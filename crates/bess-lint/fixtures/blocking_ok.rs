@@ -1,6 +1,6 @@
 // Fixture: the leader-force pattern — ordered guards dropped before the
-// device wait — plus an annotated deliberate block. Neither may be
-// flagged.
+// device wait — plus an annotated deliberate block, and a guard held
+// while redeeming queue tickets, which never wait. None may be flagged.
 
 pub struct OkFlush {
     state: Mutex<u32>,
@@ -23,11 +23,11 @@ impl OkFlush {
         drop(state);
     }
 
-    pub fn drains_after_drop(&self, q: &IoQueue) {
+    pub fn redeems_under_guard(&self, q: &IoQueue) {
         let state = self.state.lock();
-        drop(state);
-        q.drain();
         q.complete(0);
+        q.drain();
+        drop(state);
     }
 }
 

@@ -61,8 +61,6 @@ pub const BLOCKING_METHODS: &[&str] = &[
     "read_exact",
     "recv",
     "recv_timeout",
-    "complete",
-    "drain",
 ];
 
 /// Identifiers that introduce control flow, not calls.

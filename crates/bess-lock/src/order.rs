@@ -52,7 +52,7 @@ pub enum Rank {
     LockManagerWaits = 14,
     /// `Waiter::state` — a waiter's grant flag, signalled under a shard.
     LockWaiter = 16,
-    /// `LockCache::locks` — the client-side cached-lock table.
+    /// `LockCache::table` — the client-side cached-lock table.
     LockCache = 18,
     /// `SharedView::mapped` — a process's vframe→slot map. Held across
     /// `SharedCache` calls in the fault handler, so it ranks *below* the
@@ -86,10 +86,9 @@ pub enum Rank {
     /// that statically).
     AreaQuarantine = 45,
     /// `IoQueue::state` — the submission/completion bookkeeping of the
-    /// async I/O runtime. Taken briefly at submit, dequeue, and completion
-    /// publication; never held across a device call. Ranks above every
-    /// lock a submitter may hold (WAL state, area extents) and below the
-    /// device-side leaves.
+    /// async I/O runtime. Taken briefly at submit and completion; never
+    /// held across a device call. Ranks above every lock a submitter may
+    /// hold (WAL state, area extents) and below the device-side leaves.
     IoQueue = 48,
     /// `MemDevice::bytes` — the in-memory disk image behind an
     /// [`bess-io`] memory device (storage areas, the WAL's memory log).
@@ -108,11 +107,11 @@ pub enum Rank {
     /// itself a reported inversion: the scrubber must snapshot its cursor,
     /// drop the guard, then do I/O.
     ServerScrub = 55,
-    /// `ServerInner::leases` — the per-client lease table. Taken briefly on
+    /// `Leases::table` — the per-client lease table. Taken briefly on
     /// every received message and by the reaper; never held across lock
     /// manager, log, or network calls.
     ServerLeases = 56,
-    /// `ServerInner::dedup` — the request-id dedup window. Taken briefly
+    /// `Dedup::window` — the request-id dedup window. Taken briefly
     /// around commit dispatch; never held across the commit itself.
     ServerDedup = 58,
     /// `Network::partitioned` — the set of partitioned nodes, checked on

@@ -103,8 +103,7 @@ impl Dedup {
                 }
                 Some(DedupState::InFlight) => {}
             }
-            // LINT: allow(blocking-under-lock) — condvar wait releases the
-            // mutex while blocked.
+            // LINT: allow(blocking-under-lock) — condvar wait releases the mutex while blocked.
             timed_out = self.recorded.wait_until(w.raw(), deadline).timed_out();
         }
     }

@@ -149,19 +149,18 @@ fn covers_page(patches: &[(usize, &[u8])], page_size: usize) -> bool {
 /// same op sequence as before the redesign — which is what keeps the
 /// fault-injection matrices (calibrated to the Nth device op per class)
 /// valid. The batched entry points ([`StorageArea::read_pages_batch`],
-/// [`StorageArea::write_at_lsn_batch`]) submit real multi-op batches that
-/// the thread-pool executor overlaps.
+/// [`StorageArea::write_at_lsn_batch`]) submit real multi-op batches,
+/// whose runs of reads the queue overlaps on a slow device.
 struct Backend {
     queue: IoQueue,
     file: bess_io::FileId,
 }
 
 impl Backend {
-    /// Builds the queue (executor per [`IoRuntimeConfig::from_env`], so
-    /// `BESS_IO_EXEC=pool` flips the whole suite) and registers `dev`,
-    /// charging transient read retries to `retries`.
+    /// Builds the queue and registers `dev`, charging transient read
+    /// retries to `retries`.
     fn new(dev: Arc<dyn IoDevice>, group: &Group, retries: Counter) -> Self {
-        let queue = IoQueue::new(IoRuntimeConfig::from_env(), group);
+        let queue = IoQueue::new(IoRuntimeConfig, group);
         let file = queue.register(dev, retries);
         Backend { queue, file }
     }
@@ -324,7 +323,7 @@ impl StorageArea {
         // size, then verify the whole slot below. The area's stats object
         // doesn't exist yet; header-read retries go to a throwaway counter,
         // exactly as before the queue redesign.
-        let bootstrap = IoQueue::unregistered(IoRuntimeConfig::from_env());
+        let bootstrap = IoQueue::unregistered();
         let boot_file = bootstrap.register(Arc::clone(&dev), Counter::unregistered());
         let mut head = [0u8; PAGE_HDR + 24];
         let data = Backend::expect_read(bootstrap.run_one(IoOp::Read {
@@ -691,12 +690,13 @@ impl StorageArea {
     }
 
     /// Reads many absolute pages in one scatter-gather submission: every
-    /// slot read enters the [`IoQueue`] as a single batch — which the
-    /// thread-pool executor overlaps, turning N serial device waits into
-    /// one — then each completion is verified independently with the same
-    /// single re-read repair as [`Self::read_page`]. Returns one result
-    /// per requested page, in request order; each failure is per-page
-    /// (a corrupt or quarantined page never poisons its neighbors).
+    /// slot read enters the [`IoQueue`] as a single batch — a run of
+    /// reads the queue overlaps on a slow device, turning N serial device
+    /// waits into one — then each completion is verified independently
+    /// with the same single re-read repair as [`Self::read_page`]. Returns
+    /// one result per requested page, in request order; each failure is
+    /// per-page (a corrupt or quarantined page never poisons its
+    /// neighbors).
     pub fn read_pages_batch(&self, pages: &[u64]) -> Vec<StorageResult<Vec<u8>>> {
         let slot_len = PAGE_HDR + self.config.page_size;
         // Quarantined pages fail fast without touching the backend; the

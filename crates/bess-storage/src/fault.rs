@@ -397,7 +397,8 @@ impl FaultDisk {
 /// I/O queue as middleware: the two-image durable/volatile model observes
 /// exactly the op stream the queue issues, and the crash/corruption
 /// matrices — calibrated to the Nth device op per [`OpClass`] — run
-/// unchanged against either executor.
+/// unchanged through it. An in-memory fault disk's reads are far below the
+/// queue's 50 µs fan-out threshold, so it sees exactly the submission order.
 impl bess_io::IoDevice for FaultDisk {
     fn read_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<usize> {
         FaultDisk::read_at(self, buf, offset)

@@ -132,15 +132,25 @@ pub fn reseal(area: u32, page: u64, lsn: u64, slot: &mut [u8]) {
     hdr[24..32].copy_from_slice(&sum.to_le_bytes());
 }
 
+/// Whether every byte is zero. Every read of an unwritten page runs this
+/// over the whole page, so it goes 64 bytes at a time: a byte-at-a-time
+/// early-exit loop costs about a cycle a byte, and its speed swung by a
+/// quarter with where the linker placed it.
+fn all_zero(bytes: &[u8]) -> bool {
+    bytes
+        .chunks(64)
+        .all(|chunk| chunk.iter().fold(0u8, |acc, &b| acc | b) == 0)
+}
+
 /// Verifies a slot read back for (`area`, `page`). On success returns the
 /// page LSN recorded in the header (0 for an unwritten all-zero slot); on
 /// failure returns [`StorageError::CorruptPage`] naming what went wrong.
 pub fn verify(area: u32, page: u64, slot: &[u8]) -> StorageResult<u64> {
     assert!(slot.len() > PAGE_HDR, "slot smaller than its header");
     let (hdr, data) = slot.split_at(PAGE_HDR);
-    if hdr.iter().all(|&b| b == 0) {
+    if all_zero(hdr) {
         // Never-sealed slot: valid only as the all-zero unwritten page.
-        if data.iter().all(|&b| b == 0) {
+        if all_zero(data) {
             return Ok(0);
         }
         return Err(StorageError::CorruptPage {
@@ -202,14 +212,17 @@ mod tests {
 
     #[test]
     fn zero_header_with_nonzero_data_is_corrupt() {
-        let mut slot = vec![0u8; PAGE_HDR + 64];
-        slot[PAGE_HDR + 5] = 1;
-        match verify(1, 3, &slot) {
-            Err(StorageError::CorruptPage {
-                reason: CorruptKind::Checksum,
-                ..
-            }) => {}
-            other => panic!("expected checksum corruption, got {other:?}"),
+        // Every position, across the 64-byte chunks and the short tail.
+        for at in 0..100 {
+            let mut slot = vec![0u8; PAGE_HDR + 100];
+            slot[PAGE_HDR + at] = 1;
+            match verify(1, 3, &slot) {
+                Err(StorageError::CorruptPage {
+                    reason: CorruptKind::Checksum,
+                    ..
+                }) => {}
+                other => panic!("byte {at}: expected checksum corruption, got {other:?}"),
+            }
         }
     }
 

@@ -88,7 +88,7 @@ struct LogBackend {
 
 impl LogBackend {
     fn new(dev: Arc<dyn IoDevice>, mem: Option<Arc<MemDevice>>, group: &Group) -> Self {
-        let queue = IoQueue::new(IoRuntimeConfig::from_env(), group);
+        let queue = IoQueue::new(IoRuntimeConfig, group);
         let file = queue.register(dev, Counter::unregistered());
         LogBackend { queue, file, mem }
     }
@@ -423,7 +423,7 @@ impl LogManager {
         // Bootstrap: read the header through a throwaway queue (one device
         // read op, exactly as before the redesign); the manager's own
         // queue takes over once its metric group exists.
-        let bootstrap = IoQueue::unregistered(IoRuntimeConfig::from_env());
+        let bootstrap = IoQueue::unregistered();
         let boot_file = bootstrap.register(Arc::clone(&dev), Counter::unregistered());
         let mut head = [0u8; 32];
         let n = match bootstrap.run_one(IoOp::Read {
