@@ -10,6 +10,10 @@
 //!   it exclusively while it appends `CheckpointBegin`. Every commit is
 //!   therefore applied before the checkpoint's area sync, or logged after
 //!   its begin record, where restart analysis finds it;
+//! * **a checkpoint every [`RESTART_LOG_BYTES`]** — once that much log has
+//!   been appended since the last checkpoint began, the `commit`, `prepare`
+//!   or `resolve` that finds it so takes the next one, after releasing the
+//!   gate, so a restart reads about that much log;
 //! * **logged and prepared, or neither** — a branch enters the prepared
 //!   table under the gate only after its `Prepare` record is forced, and
 //!   leaves it under the gate when it is resolved;
@@ -23,6 +27,7 @@
 //!   the media gate.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -31,7 +36,8 @@ use bess_obs::{Counter, Registry};
 use bess_storage::{CorruptKind, StorageArea, StorageError};
 use bess_wal::{
     begin_checkpoint, end_checkpoint, recover, undo_transactions, LogBody, LogManager, LogPageId,
-    Lsn, RecoveryReport, RedoPatch, RedoTarget, TxnStatus, WalError, WalResult,
+    Lsn, RecoveryReport, RedoPatch, RedoTarget, TxnStatus, WalError, WalResult, LOG_START,
+    RESTART_LOG_BYTES,
 };
 use parking_lot::{Mutex, RwLock};
 
@@ -246,11 +252,18 @@ pub(crate) struct BranchInfo {
 
 /// One node's path from a write set to durable, applied pages (see the
 /// module docs for the invariants it keeps).
+///
+/// The commit gate belongs to the pipeline, not to the log: a checkpoint
+/// excludes only the commits of its own pipeline. One log must therefore
+/// have exactly one pipeline.
 pub struct CommitPipeline {
     areas: Arc<AreaSet>,
     log: Option<Arc<LogManager>>,
     /// Shared by commit/prepare/resolve, exclusive for `CheckpointBegin`.
     gate: RwLock<()>,
+    /// Set while an automatic checkpoint runs; a second caller past the
+    /// threshold skips rather than queue a checkpoint behind it.
+    checkpointing: AtomicBool,
     prepared: Mutex<HashMap<u64, PreparedBranch>>,
     accounting: Accounting,
 }
@@ -264,6 +277,7 @@ impl CommitPipeline {
             areas,
             log,
             gate: RwLock::new(()),
+            checkpointing: AtomicBool::new(false),
             prepared: Mutex::new(HashMap::new()),
             accounting: Accounting::detached(),
         }
@@ -301,23 +315,25 @@ impl CommitPipeline {
 
     /// Commits `updates` as `txn`: log the write set, force the commit
     /// record, apply, then `End`. Returns the commit record's LSN (null
-    /// without a log).
+    /// without a log). May take a checkpoint afterwards (see
+    /// [`Self::checkpoint`]).
     pub fn commit(&self, txn: u64, updates: &[PageUpdate]) -> Result<Lsn, CommitError> {
-        let _gate = self.gate.read();
-        let Some(log) = &self.log else {
-            self.apply(updates, Lsn::NULL)?;
-            return Ok(Lsn::NULL);
-        };
-        let (_, commit) = log_write_set(log, txn, updates, LogBody::Commit);
-        self.force(log, commit)?;
-        self.apply(updates, commit)?;
-        log.append(txn, commit, LogBody::End);
-        Ok(commit)
+        self.gated(|| {
+            let Some(log) = &self.log else {
+                self.apply(updates, Lsn::NULL)?;
+                return Ok(Lsn::NULL);
+            };
+            let (_, commit) = log_write_set(log, txn, updates, LogBody::Commit);
+            self.force(log, commit)?;
+            self.apply(updates, commit)?;
+            log.append(txn, commit, LogBody::End);
+            Ok(commit)
+        })
     }
 
     /// 2PC phase 1 for one branch: log the write set, force the `Prepare`
     /// record, keep the branch until [`Self::resolve`]. `shipper` is the
-    /// client node whose locks cover it.
+    /// client node whose locks cover it. May take a checkpoint afterwards.
     pub fn prepare(
         &self,
         gtxn: u64,
@@ -325,24 +341,25 @@ impl CommitPipeline {
         shipper: Option<u32>,
     ) -> Result<(), CommitError> {
         let log = self.log.as_ref().ok_or(CommitError::NoLog)?;
-        let _gate = self.gate.read();
-        let (first_lsn, last_lsn) = log_write_set(log, gtxn, &updates, LogBody::Prepare);
-        self.force(log, last_lsn)?;
-        self.prepared.lock().insert(
-            gtxn,
-            PreparedBranch {
-                updates,
-                first_lsn,
-                last_lsn,
-                shipper,
-                prepared_at: Instant::now(),
-            },
-        );
-        Ok(())
+        self.gated(|| {
+            let (first_lsn, last_lsn) = log_write_set(log, gtxn, &updates, LogBody::Prepare);
+            self.force(log, last_lsn)?;
+            self.prepared.lock().insert(
+                gtxn,
+                PreparedBranch {
+                    updates,
+                    first_lsn,
+                    last_lsn,
+                    shipper,
+                    prepared_at: Instant::now(),
+                },
+            );
+            Ok(())
+        })
     }
 
     /// 2PC phase 2 for one branch. Idempotent: a branch that is not
-    /// prepared is left alone.
+    /// prepared is left alone. May take a checkpoint afterwards.
     ///
     /// A commit whose `Commit` record cannot be forced goes back to
     /// prepared — the coordinator's decision is already durable, so the
@@ -350,31 +367,74 @@ impl CommitPipeline {
     /// crash could lose. An abort survives a failed force: presumed abort
     /// re-aborts on recovery.
     pub fn resolve(&self, gtxn: u64, commit: bool) -> Result<Resolution, CommitError> {
-        let _gate = self.gate.read();
-        let (Some(log), Some(branch)) = (&self.log, self.prepared.lock().remove(&gtxn)) else {
-            return Ok(Resolution::NotPrepared);
-        };
-        if commit {
-            let c = log.append(gtxn, branch.last_lsn, LogBody::Commit);
-            if let Err(e) = self.force(log, c) {
-                self.prepared.lock().insert(gtxn, branch);
-                return Err(e);
+        self.gated(|| {
+            let (Some(log), Some(branch)) = (&self.log, self.prepared.lock().remove(&gtxn)) else {
+                return Ok(Resolution::NotPrepared);
+            };
+            if commit {
+                let c = log.append(gtxn, branch.last_lsn, LogBody::Commit);
+                if let Err(e) = self.force(log, c) {
+                    self.prepared.lock().insert(gtxn, branch);
+                    return Err(e);
+                }
+                self.apply(&branch.updates, c)?;
+                log.append(gtxn, c, LogBody::End);
+                Ok(Resolution::Committed)
+            } else {
+                let a = log.append(gtxn, branch.last_lsn, LogBody::Abort);
+                let mut target = AreaTarget(Arc::clone(&self.areas));
+                let _ = undo_transactions(log, vec![(gtxn, a)], &mut target);
+                if log.flush_all().is_err() {
+                    self.note_log_force_failure();
+                }
+                Ok(Resolution::Aborted)
             }
-            self.apply(&branch.updates, c)?;
-            log.append(gtxn, c, LogBody::End);
-            Ok(Resolution::Committed)
-        } else {
-            let a = log.append(gtxn, branch.last_lsn, LogBody::Abort);
-            let mut target = AreaTarget(Arc::clone(&self.areas));
-            let _ = undo_transactions(log, vec![(gtxn, a)], &mut target);
-            if log.flush_all().is_err() {
-                self.note_log_force_failure();
-            }
-            Ok(Resolution::Aborted)
-        }
+        })
     }
 
-    /// Takes a checkpoint, safe to call while commits are running.
+    /// Runs `op` under the shared side of the commit gate, then, with the
+    /// gate released, takes a checkpoint if one is due. `op`'s result is
+    /// returned whatever the checkpoint does.
+    fn gated<T>(&self, op: impl FnOnce() -> T) -> T {
+        let done = {
+            let _gate = self.gate.read();
+            op()
+        };
+        self.checkpoint_if_due();
+        done
+    }
+
+    /// Takes a checkpoint once [`RESTART_LOG_BYTES`] of log have been
+    /// appended since the master's `CheckpointBegin` (since the start of
+    /// the log if there is none). Must not be called under the gate:
+    /// [`Self::checkpoint`] takes it exclusively.
+    ///
+    /// One automatic checkpoint runs at a time; a caller that finds one
+    /// running skips. A failed one (area sync or log force) feeds the
+    /// media gate like a failed area write, and leaves the master where it
+    /// was, so the next caller past the threshold tries again.
+    fn checkpoint_if_due(&self) {
+        let Some(log) = &self.log else {
+            return;
+        };
+        let due = || {
+            let since = log.master().max(LOG_START);
+            log.next_lsn().0.saturating_sub(since.0) >= RESTART_LOG_BYTES as u64
+        };
+        if !due() || self.checkpointing.swap(true, Ordering::Acquire) {
+            return;
+        }
+        // Checked again: the checkpoint that finished between the first
+        // check and the claim may have been the one that was due.
+        if due() && self.checkpoint().is_err() {
+            self.accounting.media.note(false);
+        }
+        self.checkpointing.store(false, Ordering::Release);
+    }
+
+    /// Takes a checkpoint, safe to call while commits are running. The
+    /// pipeline takes one on its own every [`RESTART_LOG_BYTES`] of log;
+    /// an explicit call is not skipped for one already running.
     ///
     /// Committed updates are applied write-through but the areas are not
     /// synced on the commit path, so a checkpoint is what makes them
@@ -751,18 +811,11 @@ mod tests {
     /// own record included — and the write retried once.
     #[test]
     fn commit_repairs_a_rotted_destination_page() {
-        use bess_storage::{FaultDisk, FaultKind, FaultPlan, OpClass, PAGE_HDR};
+        use bess_storage::{FaultKind, FaultPlan, OpClass, PAGE_HDR};
 
-        let disk = FaultDisk::new(FaultPlan::unarmed());
-        let area =
-            StorageArea::create_faulty(AreaId(0), AreaConfig::default(), Arc::clone(&disk)).unwrap();
-        let page = DbPage {
-            area: 0,
-            page: area.alloc(1).unwrap().start_page,
-        };
-        let slot = (PAGE_HDR + area.page_size()) as u64;
-        let set = Arc::new(AreaSet::new());
-        set.add(Arc::new(area));
+        let (disk, set, page) = faulty_area(1);
+        let page = DbPage { area: 0, page };
+        let slot = (PAGE_HDR + set.get(0).unwrap().page_size()) as u64;
         let log = Arc::new(LogManager::create_mem());
         let pipeline = CommitPipeline::new(Arc::clone(&set), Some(log));
 
@@ -785,5 +838,168 @@ mod tests {
         let acc = pipeline.accounting();
         assert_eq!(acc.integrity.detected.get(), 1);
         assert_eq!(acc.integrity.repaired.get(), 1);
+    }
+
+    /// Update length of the checkpoint tests: about half a default page, so
+    /// a few hundred commits pass [`RESTART_LOG_BYTES`].
+    const HALF_PAGE: usize = 2000;
+
+    /// Area 0 on a [`bess_storage::FaultDisk`] with `pages` allocated pages,
+    /// synced; returns the disk, the area set and the first page.
+    fn faulty_area(pages: u32) -> (Arc<bess_storage::FaultDisk>, Arc<AreaSet>, u64) {
+        use bess_storage::{FaultDisk, FaultPlan};
+        let disk = FaultDisk::new(FaultPlan::unarmed());
+        let cfg = AreaConfig::default();
+        let area = StorageArea::create_faulty(AreaId(0), cfg, Arc::clone(&disk)).unwrap();
+        let first = area.alloc(pages).unwrap().start_page;
+        area.sync().unwrap();
+        let set = Arc::new(AreaSet::new());
+        set.add(Arc::new(area));
+        (disk, set, first)
+    }
+
+    /// Commits worth 2.5 × [`RESTART_LOG_BYTES`] of log move the master
+    /// exactly twice, each time a threshold past the last, and a restart
+    /// then analyses fewer records than one threshold's worth.
+    #[test]
+    fn commits_checkpoint_every_restart_log_bytes() {
+        let r = rig();
+        let threshold = RESTART_LOG_BYTES as u64;
+        let mut masters = vec![r.log.master()];
+        let mut txn = 0;
+        while r.log.next_lsn().0 < LOG_START.0 + threshold * 5 / 2 {
+            txn += 1;
+            let page = r.pages[txn as usize % 2];
+            r.pipeline.commit(txn, &[upd(page, 0, &[txn as u8; HALF_PAGE])]).unwrap();
+            if r.log.master() != masters[masters.len() - 1] {
+                masters.push(r.log.master());
+            }
+        }
+        assert_eq!(masters.len(), 3, "the master moved exactly twice: {masters:?}");
+        assert_eq!(r.log.stats().checkpoints.get(), 2);
+        assert!(masters[1].0 >= LOG_START.0 + threshold, "{masters:?}");
+        assert!(masters[2].0 >= masters[1].0 + threshold, "{masters:?}");
+
+        let one_threshold = r
+            .log
+            .iter()
+            .take_while(|rec| rec.lsn.0 < LOG_START.0 + threshold)
+            .count() as u64;
+        let crashed = r.log.simulate_crash().unwrap();
+        let report = recover(&crashed, &mut bess_wal::MemTarget::default()).unwrap();
+        assert!(
+            report.scanned < one_threshold,
+            "scanned {} records; one threshold holds {one_threshold}",
+            report.scanned
+        );
+    }
+
+    /// Four committers across several thresholds. The automatic
+    /// checkpoints never overlap: in log order every `CheckpointEnd`
+    /// follows its own begin with no other begin between. And every
+    /// acknowledged commit is on its page after a crash that loses every
+    /// area write no checkpoint synced.
+    #[test]
+    fn concurrent_commits_checkpoint_one_at_a_time_and_lose_nothing() {
+        const THREADS: u64 = 4;
+        let (disk, set, first) = faulty_area(THREADS as u32);
+        let log = Arc::new(LogManager::create_mem());
+        let pipeline = CommitPipeline::new(Arc::clone(&set), Some(Arc::clone(&log)));
+        let end = LOG_START.0 + 4 * RESTART_LOG_BYTES as u64;
+        let start = std::sync::Barrier::new(THREADS as usize);
+        // Per committer: the last value it was acknowledged for its page.
+        let acked: Vec<u64> = std::thread::scope(|s| {
+            let committers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (pipeline, log, start) = (&pipeline, &log, &start);
+                    s.spawn(move || {
+                        let page = DbPage {
+                            area: 0,
+                            page: first + t,
+                        };
+                        start.wait();
+                        let mut last = 0u64;
+                        while log.next_lsn().0 < end {
+                            let v = last + 1;
+                            let mut after = vec![0u8; HALF_PAGE];
+                            after[..8].copy_from_slice(&v.to_le_bytes());
+                            pipeline.commit(t << 32 | v, &[upd(page, 0, &after)]).unwrap();
+                            last = v;
+                        }
+                        last
+                    })
+                })
+                .collect();
+            committers.into_iter().map(|c| c.join().unwrap()).collect()
+        });
+
+        let mut open: Option<Lsn> = None;
+        let mut ends = 0;
+        for rec in log.iter() {
+            match rec.body {
+                LogBody::CheckpointBegin => {
+                    assert_eq!(open, None, "a checkpoint began inside another");
+                    open = Some(rec.lsn);
+                }
+                LogBody::CheckpointEnd { .. } => {
+                    assert_eq!(Some(rec.prev_lsn), open.take(), "an end without its begin");
+                    ends += 1;
+                }
+                _ => {}
+            }
+        }
+        assert!(ends >= 3, "{ends} checkpoints over four thresholds");
+        assert_eq!(log.stats().checkpoints.get(), ends);
+
+        disk.crash();
+        disk.reopen(bess_storage::FaultPlan::unarmed());
+        let set = Arc::new(AreaSet::new());
+        set.add(Arc::new(StorageArea::open_faulty(AreaId(0), disk, true).unwrap()));
+        let crashed = log.simulate_crash().unwrap();
+        let report = recover(&crashed, &mut AreaTarget(Arc::clone(&set))).unwrap();
+        assert!(report.losers.is_empty(), "{report:?}");
+        for (t, &want) in acked.iter().enumerate() {
+            assert!(want > 0, "committer {t} ran");
+            let page = DbPage {
+                area: 0,
+                page: first + t as u64,
+            };
+            let got = u64::from_le_bytes(bytes(&set, page, 0, 8).try_into().unwrap());
+            assert_eq!(got, want, "committer {t}'s page after the crash");
+        }
+    }
+
+    /// An automatic checkpoint whose area sync fails: the commit that took
+    /// it still succeeds, the failure reaches the media gate, the master
+    /// stays where it was, and the next commit past the threshold takes
+    /// the checkpoint again.
+    #[test]
+    fn a_failed_automatic_checkpoint_feeds_the_media_gate_and_is_retried() {
+        use bess_storage::{FaultKind, FaultPlan, OpClass};
+        let (disk, set, page) = faulty_area(1);
+        let page = DbPage { area: 0, page };
+        let log = Arc::new(LogManager::create_mem());
+        let pipeline = CommitPipeline {
+            accounting: Accounting {
+                media: Arc::new(MediaGate::new(1)),
+                ..Accounting::detached()
+            },
+            ..CommitPipeline::new(set, Some(Arc::clone(&log)))
+        };
+        disk.arm(FaultPlan::armed(OpClass::Sync, 0, FaultKind::Eio));
+        let mut txn = 0;
+        while log.next_lsn().0 < LOG_START.0 + RESTART_LOG_BYTES as u64 {
+            txn += 1;
+            pipeline
+                .commit(txn, &[upd(page, 0, &[txn as u8; HALF_PAGE])])
+                .expect("a commit returns its own result, not its checkpoint's");
+        }
+        assert!(pipeline.accounting().media.is_read_only(), "the failure was noted");
+        assert!(log.master().is_null(), "no checkpoint completed");
+        assert_eq!(log.stats().checkpoints.get(), 0);
+
+        pipeline.commit(txn + 1, &[upd(page, 0, b"again")]).unwrap();
+        assert!(!log.master().is_null(), "the next commit checkpointed");
+        assert_eq!(log.stats().checkpoints.get(), 1);
     }
 }

@@ -1,12 +1,11 @@
 //! Background integrity scrubbing and the shared read-repair ladder.
 //!
 //! Detection alone leaves silent corruption sitting on disk until a
-//! client happens to read the page — possibly after the WAL history that
-//! could repair it has been checkpointed away. The scrubber walks every
-//! registered area in the background, a bounded batch of pages per pass,
-//! verifying integrity headers and repairing (or quarantining) what it
-//! finds, so corruption is surfaced on the server's schedule rather than
-//! the workload's.
+//! client happens to read the page, which may be never. The scrubber walks
+//! every registered area in the background, a bounded batch of pages per
+//! pass, verifying integrity headers and repairing (or quarantining) what
+//! it finds, so corruption is surfaced on the server's schedule rather
+//! than the workload's.
 //!
 //! The **repair ladder** (shared with the foreground read path) runs, in
 //! order:
@@ -15,7 +14,9 @@
 //!    read retries once, curing flips that happened in transfer;
 //! 2. *reconstruct from the log* — [`bess_wal::reconstruct_page`] replays
 //!    every committed update to the page, the image is restored with
-//!    [`StorageArea::restore_page`] and read back verified;
+//!    [`StorageArea::restore_page`] and read back verified. This relies on
+//!    the log never being truncated: a checkpoint moves where restart
+//!    starts, not where the log starts;
 //! 3. *quarantine* — the page is fenced off (reads and writes refuse it
 //!    without touching the backend) and the failure feeds the server's
 //!    media-error threshold, degrading it to read-only like any other

@@ -53,4 +53,5 @@ pub use record::{LogBody, LogPageId, LogRecord, TxnStatus};
 pub use recovery::{
     begin_checkpoint, committed_page_lsns, end_checkpoint, reconstruct_page, recover, replay_all,
     take_checkpoint, undo_transactions, MemTarget, RecoveryReport, RedoPatch, RedoTarget,
+    RESTART_LOG_BYTES,
 };

@@ -264,6 +264,8 @@ pub struct WalStats {
     /// (`wal.recovery.pages_restored`); `redone` records in the
     /// [`crate::RecoveryReport`] over this is the coalescing factor.
     pub recovery_pages_restored: Counter,
+    /// Checkpoints completed, master record moved (`wal.checkpoints`).
+    pub checkpoints: Counter,
 }
 
 impl WalStats {
@@ -276,6 +278,7 @@ impl WalStats {
             group_leaders: group.counter("group.leaders"),
             group_followers: group.counter("group.followers"),
             recovery_pages_restored: group.counter("recovery.pages_restored"),
+            checkpoints: group.counter("checkpoints"),
         }
     }
 }

@@ -9,7 +9,7 @@
 //!    scan buffers each dirty page's images in log order and hands the
 //!    target one page at a time ([`RedoTarget::redo_page`]), so a page
 //!    costs one read-modify-write however many records touched it. The
-//!    buffer is a bounded window (`REDO_WINDOW_BYTES`), emptied whenever
+//!    buffer is a bounded window ([`RESTART_LOG_BYTES`]), emptied whenever
 //!    it fills and before undo starts.
 //! 3. **Undo** — roll back loser transactions newest-record-first, writing
 //!    compensation records (CLRs) chained with `undo_next` so undo itself
@@ -26,11 +26,13 @@ use crate::log::{LogManager, WalError, WalResult, LOG_START};
 use crate::lsn::Lsn;
 use crate::record::{LogBody, LogPageId, TxnStatus};
 
-/// Bytes of redo images (plus bookkeeping) the redo scan buffers before it
-/// hands the buffered pages to the target: enough that a page rewritten
-/// throughout a long log is still restored only a few times, small beside
-/// the memory of the server being restarted.
-const REDO_WINDOW_BYTES: usize = 4 << 20;
+/// How much log a restart should have to read, in bytes. It sets two
+/// things that go together: a commit pipeline takes a checkpoint once this
+/// much log has been appended since the last one, and the redo scan buffers
+/// this many bytes of images (plus bookkeeping) before it hands the
+/// buffered pages to the target. A restart after a checkpoint therefore
+/// analyses about this much log and redoes it in about one window.
+pub const RESTART_LOG_BYTES: usize = 1 << 20;
 
 /// One buffered redo image: an update's after-image or a CLR's image.
 #[derive(Debug)]
@@ -287,7 +289,7 @@ pub fn recover(log: &LogManager, target: &mut dyn RedoTarget) -> WalResult<Recov
                 },
             );
             report.redone += 1;
-            if window.bytes >= REDO_WINDOW_BYTES {
+            if window.bytes >= RESTART_LOG_BYTES {
                 window.flush(log, target)?;
             }
         }
@@ -448,7 +450,8 @@ pub fn begin_checkpoint(log: &LogManager) -> Lsn {
 }
 
 /// Second half of [`take_checkpoint`]: logs the tables, flushes, and
-/// durably points the master record at `begin`.
+/// durably points the master record at `begin`. Counts the checkpoint in
+/// `wal.checkpoints` once the master has moved.
 pub fn end_checkpoint(
     log: &LogManager,
     begin: Lsn,
@@ -464,7 +467,9 @@ pub fn end_checkpoint(
         },
     );
     log.flush(end)?;
-    log.set_master(begin)
+    log.set_master(begin)?;
+    log.stats().checkpoints.inc();
+    Ok(())
 }
 
 /// Convenience for tests: the latest state of `page` after applying a
@@ -760,6 +765,7 @@ mod tests {
         }
         // All pages clean (pretend they were flushed); empty tables.
         take_checkpoint(&log, vec![], vec![]).unwrap();
+        assert_eq!(log.stats().checkpoints.get(), 1);
         run_txn(&log, &mut cache, 100, &[(50, 0, 4)], true, true);
 
         let recovered_log = log.simulate_crash().unwrap();
@@ -939,7 +945,7 @@ mod tests {
         // page is handed over more than once, in order, and ends up right.
         let log = LogManager::create_mem();
         let image = 4096;
-        let records = REDO_WINDOW_BYTES / image + 10;
+        let records = RESTART_LOG_BYTES / image + 10;
         let mut prev = log.append(1, Lsn::NULL, LogBody::Begin);
         for i in 0..records {
             prev = log.append(
@@ -962,7 +968,7 @@ mod tests {
         assert_eq!(report.redone, records as u64);
         assert_eq!(disk.redo_calls.len(), 2, "one full window, then the rest");
         let most = disk.redo_calls.iter().map(|(_, l)| l.len()).max().unwrap();
-        assert!(most * image <= REDO_WINDOW_BYTES, "{most} images buffered");
+        assert!(most * image <= RESTART_LOG_BYTES, "{most} images buffered");
         let lsns: Vec<Lsn> = disk.redo_calls.iter().flat_map(|(_, l)| l.clone()).collect();
         assert!(lsns.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(disk.mem.pages[&page(1)], vec![((records - 1) % 251) as u8; image]);

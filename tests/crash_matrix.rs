@@ -40,7 +40,7 @@ use bess_storage::{
 };
 use bess_wal::{
     take_checkpoint, undo_transactions, LogBody, LogManager, LogPageId, Lsn, RecoveryReport,
-    LOG_START,
+    LOG_START, RESTART_LOG_BYTES,
 };
 
 // ---------------------------------------------------------------------------
@@ -81,10 +81,14 @@ fn small_area() -> AreaConfig {
 /// and writing the log header all complete and are synced durably before
 /// any plan is armed, so fault indices count from the workload's first I/O.
 fn build_rig() -> Rig {
+    build_rig_on(small_area())
+}
+
+/// [`build_rig`] over an area of geometry `cfg`.
+fn build_rig_on(cfg: AreaConfig) -> Rig {
     let area_disk = FaultDisk::new(FaultPlan::unarmed());
     let log_disk = FaultDisk::new(FaultPlan::unarmed());
-    let area =
-        StorageArea::create_faulty(AreaId(0), small_area(), Arc::clone(&area_disk)).unwrap();
+    let area = StorageArea::create_faulty(AreaId(0), cfg, Arc::clone(&area_disk)).unwrap();
     let ptr = area.alloc(4).unwrap();
     let pages = [ptr.start_page, ptr.start_page + 1, ptr.start_page + 2];
     area.sync().unwrap();
@@ -694,6 +698,109 @@ fn embedded_session_crash_sweep() {
             rig.log_disk.crash();
             verify_recovery_over(&rig.area_disk, &rig.log_disk, &rig.base);
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The automatic checkpoint: commits through the pipeline until the log
+// passes `RESTART_LOG_BYTES`, and the commit that finds it so takes a
+// checkpoint. Between its begin record and its master header the checkpoint
+// issues three I/Os of its own — the area sync, the `CheckpointEnd` force
+// and the header write — and the process dies at each.
+// ---------------------------------------------------------------------------
+
+/// Bytes each commit of the checkpoint workload rewrites at the head of
+/// one of the rig's pages: about a hundred and thirty commits pass the
+/// threshold.
+const CKPT_UPDATE: usize = 4000;
+
+/// Commits through one pipeline, each rewriting the head of one of the
+/// rig's pages, until the log has passed `RESTART_LOG_BYTES` — the last
+/// commit is the one that took the automatic checkpoint — or until a
+/// device died (the process dies with it). Returns the acknowledged
+/// transactions.
+fn run_checkpoint_workload(rig: &Rig) -> BTreeSet<u64> {
+    let pipeline = CommitPipeline::new(Arc::clone(&rig.set), Some(Arc::clone(&rig.log)));
+    let mut heads = [0u8; 3];
+    let mut acked = BTreeSet::new();
+    let threshold = LOG_START.0 + RESTART_LOG_BYTES as u64;
+    let mut txn = 0;
+    while rig.log.next_lsn().0 < threshold {
+        txn += 1;
+        let i = txn as usize % 3;
+        let update = PageUpdate {
+            page: DbPage {
+                area: 0,
+                page: rig.pages[i],
+            },
+            offset: 0,
+            before: vec![heads[i]; CKPT_UPDATE],
+            after: vec![txn as u8; CKPT_UPDATE],
+        };
+        pipeline
+            .commit(txn, &[update])
+            .expect("a commit returns its own result, not its checkpoint's");
+        heads[i] = txn as u8;
+        acked.insert(txn);
+        if rig.area_disk.is_poisoned() || rig.log_disk.is_poisoned() {
+            break;
+        }
+    }
+    acked
+}
+
+/// Crash points inside the automatic checkpoint, reached by committing
+/// past the threshold: after `CheckpointBegin` and before the area sync,
+/// after the sync and before `CheckpointEnd` is forced, and after the
+/// force and before the master header is written. The commit that took
+/// the checkpoint is acknowledged in each; after the crash the restart
+/// scans from the start of the log, and exactly the acknowledged commits
+/// are there, on their pages.
+#[test]
+fn automatic_checkpoint_crash_points() {
+    // Calibrate: each commit forces once (one log write, one log sync)
+    // and syncs no area; the checkpoint syncs the area once, forces its
+    // end record and writes the master header.
+    let rig = build_rig_on(AreaConfig::default());
+    let (area_plan, log_plan) = (FaultPlan::unarmed(), FaultPlan::unarmed());
+    rig.area_disk.arm(Arc::clone(&area_plan));
+    rig.log_disk.arm(Arc::clone(&log_plan));
+    let commits = run_checkpoint_workload(&rig).len() as u64;
+    assert!(!rig.log.master().is_null(), "the fault-free run checkpointed");
+    assert_eq!(area_plan.ops(OpClass::Sync), 1, "the checkpoint's area sync");
+    assert_eq!(log_plan.ops(OpClass::Write), commits + 2, "log writes");
+    let base: BTreeMap<u64, Vec<u8>> =
+        rig.pages.iter().map(|&p| (p, vec![0u8; CKPT_UPDATE])).collect();
+    rig.area_disk.crash();
+    rig.log_disk.crash();
+    let report = verify_recovery_over(&rig.area_disk, &rig.log_disk, &base);
+    assert_eq!(
+        (report.scanned, report.redone),
+        (2, 0),
+        "after the checkpoint a restart reads its two records and redoes nothing"
+    );
+
+    let cells = [
+        ("before the area sync", Target::Area, OpClass::Sync, 0),
+        ("before CheckpointEnd is forced", Target::Log, OpClass::Write, commits),
+        ("before the master header is written", Target::Log, OpClass::Write, commits + 1),
+    ];
+    for (point, target, class, nth) in cells {
+        let rig = build_rig_on(AreaConfig::default());
+        let plan = FaultPlan::armed(class, nth, FaultKind::Crash);
+        match target {
+            Target::Area => rig.area_disk.arm(Arc::clone(&plan)),
+            Target::Log => rig.log_disk.arm(Arc::clone(&plan)),
+        }
+        let acked = run_checkpoint_workload(&rig);
+        assert_eq!(plan.fired(), 1, "{point}: never reached");
+        assert_eq!(acked.len() as u64, commits, "{point}: the commit that took the checkpoint");
+        rig.area_disk.crash();
+        rig.log_disk.crash();
+        verify_recovery_over(&rig.area_disk, &rig.log_disk, &base);
+        let log = LogManager::open_faulty(Arc::clone(&rig.log_disk)).unwrap();
+        assert!(log.master().is_null(), "{point}: the checkpoint never completed");
+        assert_eq!(classify(&log).winners, acked, "{point}: durable commits");
     }
 }
 

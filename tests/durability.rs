@@ -15,7 +15,7 @@ use bess_server::{
     ServerConfig, Vote,
 };
 use bess_storage::{AreaConfig, AreaId, FaultDisk, FaultKind, FaultPlan, OpClass, StorageArea};
-use bess_wal::{LogBody, LogManager};
+use bess_wal::{LogBody, LogManager, RESTART_LOG_BYTES};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     static N: AtomicU32 = AtomicU32::new(0);
@@ -265,6 +265,49 @@ fn checkpoint_on_a_volatile_write_cache_loses_nothing() {
 /// place; this test then loses a page within a few hundred checkpoints.)
 #[test]
 fn checkpoints_racing_commits_lose_nothing() {
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    racing_commits_lose_nothing(
+        8,
+        &|_| stop.load(Ordering::Relaxed),
+        |server| {
+            for _ in 0..300 {
+                server.checkpoint().unwrap();
+            }
+            stop.store(true, Ordering::Relaxed);
+        },
+    );
+}
+
+/// The same race with no explicit checkpoint: the commit pipeline takes
+/// one every `RESTART_LOG_BYTES` of log, on whichever committer's thread
+/// passes the threshold, while the other committer keeps committing. The
+/// clients rewrite nearly a page each time and stop after the third.
+#[test]
+fn automatic_checkpoints_racing_commits_lose_nothing() {
+    const UPDATE: usize = 4000;
+    let report = racing_commits_lose_nothing(
+        UPDATE,
+        &|log| log.stats().checkpoints.get() >= 3,
+        |_| {},
+    );
+    // One threshold holds four records per commit of two images.
+    let one_threshold = 4 * RESTART_LOG_BYTES / (2 * UPDATE);
+    assert!(
+        (report.scanned as usize) < one_threshold,
+        "scanned {} records after three checkpoints; one threshold holds {one_threshold}",
+        report.scanned
+    );
+}
+
+/// Two clients commit `update_bytes` at the head of pages of their own
+/// until `done(log)`, while `checkpoints` runs on this thread; then both
+/// devices crash and the server restarts. Every page must hold the last
+/// value acknowledged for it. Returns the restart's recovery report.
+fn racing_commits_lose_nothing(
+    update_bytes: usize,
+    done: &(dyn Fn(&LogManager) -> bool + Sync),
+    checkpoints: impl FnOnce(&BessServer),
+) -> bess_wal::RecoveryReport {
     const WRITERS: u64 = 2;
     const PAGES_EACH: u64 = 4;
     let net = Network::new(Duration::ZERO);
@@ -286,18 +329,18 @@ fn checkpoints_racing_commits_lose_nothing() {
         &net,
     );
 
-    let stop = std::sync::atomic::AtomicBool::new(false);
+    let log = Arc::clone(server.log());
     // Per writer: the last acknowledged value of each of its pages.
     let acked: Vec<Vec<u64>> = std::thread::scope(|s| {
         let writers: Vec<_> = (0..WRITERS)
             .map(|w| {
-                let (net, dir, stop) = (&net, &dir, &stop);
+                let (net, dir, log) = (&net, &dir, &log);
                 s.spawn(move || {
                     let cfg = ClientConfig::new(NodeId(1 + w as u32), NodeId(100));
                     let c = ClientConn::connect(net, Arc::clone(dir), cfg);
                     let mut last = vec![0u64; PAGES_EACH as usize];
                     let mut v = 0u64;
-                    while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                    while !done(log) {
                         v += 1;
                         let i = v % PAGES_EACH;
                         let p = DbPage {
@@ -306,11 +349,13 @@ fn checkpoints_racing_commits_lose_nothing() {
                         };
                         c.begin().unwrap();
                         let d = c.fetch_page(p, LockMode::X).unwrap();
+                        let mut after = vec![0u8; update_bytes];
+                        after[..8].copy_from_slice(&v.to_le_bytes());
                         c.commit(vec![PageUpdate {
                             page: p,
                             offset: 0,
-                            before: d[0..8].to_vec(),
-                            after: v.to_le_bytes().to_vec(),
+                            before: d[..update_bytes].to_vec(),
+                            after,
                         }])
                         .unwrap();
                         last[i as usize] = v;
@@ -320,10 +365,7 @@ fn checkpoints_racing_commits_lose_nothing() {
                 })
             })
             .collect();
-        for _ in 0..300 {
-            server.checkpoint().unwrap();
-        }
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        checkpoints(&server);
         writers.into_iter().map(|w| w.join().unwrap()).collect()
     });
     assert!(acked.iter().flatten().all(|&v| v > 0), "writers ran: {acked:?}");
@@ -358,6 +400,7 @@ fn checkpoints_racing_commits_lose_nothing() {
             );
         }
     }
+    report
 }
 
 // ---------------------------------------------------------------------------

@@ -71,6 +71,8 @@ const EMBEDDED_GOLDEN: &[&str] = &[
     "wal.group.size",
     // Restart redo, one read-modify-write per page (PR 13).
     "wal.recovery.pages_restored",
+    // Checkpoints completed, the pipeline's automatic ones included.
+    "wal.checkpoints",
     // LockStats (bess-lock manager)
     "lock.requests",
     "lock.immediate",
@@ -122,6 +124,7 @@ const SERVER_GOLDEN: &[&str] = &[
     "wal.appends",
     "wal.group.size",
     "wal.recovery.pages_restored",
+    "wal.checkpoints",
     "storage.a0.page_reads",
 ];
 
